@@ -195,7 +195,12 @@ int main(int argc, char **argv) {
     MaoUnit Unit = CorpusUnit->clone();
     Unit.rebuildStructure();
     RelaxationResult Last;
-    const double Seconds = bestSeconds(3, [&] { Last = relaxUnit(Unit); });
+    // A cold relax each time: an unchanged unit would be served from the
+    // relaxation cache.
+    const double Seconds = bestSeconds(3, [&] {
+      Unit.markLayoutDirty();
+      Last = relaxUnit(Unit);
+    });
     const char *Name = Mode == RelaxMode::Grow ? "grow" : "optimal";
     if (!Last.Converged) {
       std::fprintf(stderr, "bench: %s relaxation did not converge\n", Name);

@@ -122,8 +122,10 @@ else
   if ! grep -q '"uarch.itlb_misses":[1-9]' "$R1"; then
     fail "counters: expected nonzero ITLB misses on layout_hotcold"
   fi
-  sed '/"timings":/d' "$R1" >"$R1.norm"
-  sed '/"timings":/d' "$R4" >"$R4.norm"
+  # "timings" is the last section and spans several lines once any
+  # time.* counter is published; strip it to the end of the document.
+  sed '/"timings":/,$d' "$R1" >"$R1.norm"
+  sed '/"timings":/,$d' "$R4" >"$R4.norm"
   if ! cmp -s "$R1.norm" "$R4.norm"; then
     fail "counters: --mao-report differs across --mao-jobs"
   fi

@@ -45,18 +45,11 @@ std::vector<std::string> CFG::readJumpTable(MaoUnit &Unit,
     return Targets;
 
   // Walk forward from the label entry collecting .quad/.long label args.
-  // The label map stores MaoEntry*, so locate its list position by scanning
-  // from the front is O(n); instead walk the entry list once and compare
-  // pointers. Table reading is rare (per indirect jump), so a linear find
-  // is acceptable.
+  // The label map holds the label's list position, so the walk touches
+  // only the table's own entries: it never strays into code that sibling
+  // shards of a sharded pass may be editing.
   EntryList &Entries = Unit.entries();
-  EntryIter It = Entries.begin();
-  for (EntryIter E = Entries.end(); It != E; ++It)
-    if (&*It == LabelIt->second)
-      break;
-  if (It == Entries.end())
-    return Targets;
-  ++It;
+  EntryIter It = std::next(LabelIt->second);
   for (EntryIter E = Entries.end(); It != E; ++It) {
     if (It->isLabel())
       break; // Next object begins.

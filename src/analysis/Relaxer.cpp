@@ -3,8 +3,11 @@
 #include "analysis/Relaxer.h"
 
 #include "support/Diag.h"
+#include "support/Stats.h"
 
+#include <any>
 #include <cassert>
+#include <chrono>
 #include <cstdlib>
 
 using namespace mao;
@@ -133,9 +136,10 @@ bool mao::parseRelaxMode(const std::string &Text, RelaxMode &Mode) {
   return false;
 }
 
-RelaxationResult mao::relaxUnit(MaoUnit &Unit, DiagEngine *Diags) {
-  RelaxationResult Result;
+namespace {
 
+/// Relaxes \p Unit from scratch into \p Result (which must be empty).
+void relaxCold(MaoUnit &Unit, DiagEngine *Diags, RelaxationResult &Result) {
   // Reset branch sizes optimistically: every direct jump starts rel8 and
   // grows as needed. (Calls are rel32 by construction.)
   for (MaoEntry &E : Unit.entries()) {
@@ -341,7 +345,7 @@ RelaxationResult mao::relaxUnit(MaoUnit &Unit, DiagEngine *Diags) {
   }
 
   if (Result.Converged)
-    return Result;
+    return;
 
   // Hit the iteration limit; addresses are best-effort and must not be
   // trusted silently — report which section was still growing, and let the
@@ -352,5 +356,61 @@ RelaxationResult mao::relaxUnit(MaoUnit &Unit, DiagEngine *Diags) {
                        " did not converge within " +
                        std::to_string(RelaxationIterationLimit) +
                        " iterations; branch sizes are best-effort");
-  return Result;
+}
+
+/// What relaxUnit keeps in MaoUnit::layoutCache(): the last result and the
+/// (generation, mode) it is valid for.
+struct RelaxCache {
+  RelaxationResult Result;
+  uint64_t Generation = 0;
+  RelaxMode Mode = RelaxMode::Grow;
+  bool Valid = false;
+};
+
+RelaxCache *cacheOf(MaoUnit &Unit) {
+  return std::any_cast<RelaxCache>(&Unit.layoutCache());
+}
+
+} // namespace
+
+bool mao::layoutIsCached(MaoUnit &Unit) {
+  const RelaxCache *C = cacheOf(Unit);
+  return C && C->Valid && C->Generation == Unit.layoutGeneration() &&
+         C->Mode == relaxMode();
+}
+
+const RelaxationResult &mao::relaxUnit(MaoUnit &Unit, DiagEngine *Diags) {
+  StatsRegistry &Stats = StatsRegistry::instance();
+  static StatCounter &Calls = Stats.counter("relax.calls");
+  static StatCounter &Cold = Stats.counter("relax.cold");
+  static StatCounter &Cached = Stats.counter("relax.cached");
+  static StatCounter &Iterations = Stats.counter("relax.iterations");
+  static StatCounter &TimeUs = Stats.counter("time.relax_us");
+  Calls.add();
+  if (layoutIsCached(Unit)) {
+    // Relaxation is a deterministic function of the layout, so an
+    // unchanged generation reproduces the cached result byte for byte —
+    // and every entry still carries the Address/Size/BranchSize it wrote.
+    Cached.add();
+    return cacheOf(Unit)->Result;
+  }
+
+  const auto Start = std::chrono::steady_clock::now();
+  RelaxCache *Slot = cacheOf(Unit);
+  RelaxCache &C = Slot ? *Slot : Unit.layoutCache().emplace<RelaxCache>();
+  C.Result = RelaxationResult();
+  relaxCold(Unit, Diags, C.Result);
+  // Read the generation only now: the walk may have rebuilt stale views.
+  // A non-converged result is never served again, so the caller of the
+  // next relax sees the iteration-limit warning too.
+  C.Generation = Unit.layoutGeneration();
+  C.Mode = relaxMode();
+  C.Valid = C.Result.Converged;
+  Cold.add();
+  Iterations.add(C.Result.Iterations);
+  TimeUs.add(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - Start)
+          .count()));
+  return C.Result;
 }

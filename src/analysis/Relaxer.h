@@ -13,7 +13,11 @@
 ///
 /// Our implementation chooses rel8 vs. rel32 monotonically (branches only
 /// grow), so convergence is guaranteed; `.p2align` padding is recomputed
-/// every round and settles once branch sizes do.
+/// every round and settles once branch sizes do. Relaxation is a
+/// deterministic function of the layout, so relaxUnit keeps its converged
+/// result on the unit and re-relaxes only after the unit's layout
+/// generation moved: an alignment pass that queries addresses once per
+/// function pays for one whole-unit relax per edit, not per query.
 ///
 /// On success every entry's Address (offset within its section) and Size
 /// are filled in, and a label-address map is produced for binary encoding.
@@ -92,12 +96,26 @@ struct RelaxationResult {
   const LabelAddressMap &sectionLabels(const std::string &SectionName) const;
 };
 
-/// Relaxes every section of \p Unit. Requires rebuildStructure() to have
-/// run since the last structural change. When the iteration limit is hit,
-/// a structured warning naming the offending section is emitted through
-/// \p Diags (when non-null) and Converged stays false — callers gate on it
-/// (the verifier turns it into a layout error).
-RelaxationResult relaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr);
+/// Relaxes every section of \p Unit. Walks the section views, which insert
+/// and erase keep current; after edits that leave them stale (moveRange,
+/// new sections) rebuildStructure() must run first. When the iteration
+/// limit is hit, a structured warning naming the offending section is
+/// emitted through \p Diags (when non-null) and Converged stays false —
+/// callers gate on it (the verifier turns it into a layout error).
+///
+/// The single relaxation entry point, and cheap when nothing changed: a
+/// converged result is cached on the unit against its layout generation
+/// and the relax mode, and returned as is while neither moves (the entries
+/// still hold the Address/Size/BranchSize it wrote). A non-converged result
+/// is never cached. The returned reference stays valid until the next
+/// relaxUnit call on \p Unit, or until \p Unit is moved or destroyed.
+/// Publishes relax.calls/cold/cached/iterations and time.relax_us.
+const RelaxationResult &relaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr);
+
+/// True when relaxUnit would serve \p Unit from its cache: a converged
+/// result exists for the current layout generation and relax mode. The
+/// verifier uses it to decide whether the unit claims a clean layout.
+bool layoutIsCached(MaoUnit &Unit);
 
 /// Returns the layout size in bytes of a non-instruction entry at
 /// \p Address (alignment padding, data directive sizes; labels are 0).

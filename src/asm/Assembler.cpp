@@ -218,7 +218,7 @@ ErrorOr<SectionBytes> mao::assembleUnit(MaoUnit &Unit,
 }
 
 ErrorOr<SectionBytes> mao::assembleUnit(MaoUnit &Unit) {
-  RelaxationResult Relax = relaxUnit(Unit);
+  const RelaxationResult &Relax = relaxUnit(Unit);
   if (!Relax.Converged)
     return MaoStatus::error("relaxation did not converge within " +
                             std::to_string(RelaxationIterationLimit) +

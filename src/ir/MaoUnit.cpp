@@ -81,30 +81,88 @@ uint32_t MaoUnit::reserveIdBlocks(size_t Count, uint32_t BlockSize) {
 
 EntryIter MaoUnit::append(MaoEntry Entry) {
   std::lock_guard<std::mutex> Lock(StructuralM);
+  ++LayoutGen;
   Entry.Id = nextId();
   return Entries.insert(Entries.end(), std::move(Entry));
 }
 
 EntryIter MaoUnit::insertBefore(EntryIter Pos, MaoEntry Entry) {
   std::lock_guard<std::mutex> Lock(StructuralM);
+  ++LayoutGen;
   Entry.Id = nextId();
-  return Entries.insert(Pos, std::move(Entry));
+  EntryIter New = Entries.insert(Pos, std::move(Entry));
+  if (Pos != Entries.end())
+    retargetBounds(Pos, New, /*OpeningsOnly=*/true);
+  return New;
 }
 
 EntryIter MaoUnit::insertAfter(EntryIter Pos, MaoEntry Entry) {
   assert(Pos != Entries.end() && "cannot insert after end()");
   std::lock_guard<std::mutex> Lock(StructuralM);
+  ++LayoutGen;
   Entry.Id = nextId();
-  return Entries.insert(std::next(Pos), std::move(Entry));
+  EntryIter Old = std::next(Pos);
+  EntryIter New = Entries.insert(Old, std::move(Entry));
+  if (Old != Entries.end())
+    retargetBounds(Old, New, /*OpeningsOnly=*/true);
+  return New;
+}
+
+EntryIter *MaoUnit::boundRef(const RangeBound &B) {
+  // Bounds-checked: a caller may have edited a view's ranges by hand since
+  // the last rebuild.
+  std::vector<MaoFunction::Range> *Ranges = nullptr;
+  if (B.IsSection && B.Owner < Sections.size())
+    Ranges = &Sections[B.Owner].Ranges;
+  else if (!B.IsSection && B.Owner < Functions.size())
+    Ranges = &Functions[B.Owner].ranges();
+  if (!Ranges || B.RangeIdx >= Ranges->size())
+    return nullptr;
+  MaoFunction::Range &R = (*Ranges)[B.RangeIdx];
+  return B.IsEnd ? &R.End : &R.Begin;
+}
+
+void MaoUnit::retargetBounds(EntryIter From, EntryIter To,
+                             bool OpeningsOnly) {
+  auto [First, Last] = RangeBounds.equal_range(&*From);
+  std::vector<RangeBound> Moved;
+  for (auto It = First; It != Last;) {
+    const RangeBound B = It->second;
+    EntryIter *Bound = boundRef(B);
+    // Openings: section ranges, and function ranges after the first (a
+    // function resumed by a section switch). A function's first range
+    // opens at its label; an entry inserted before the label stays out.
+    const bool Opening = !B.IsEnd && (B.IsSection || B.RangeIdx > 0);
+    const bool Live = Bound && *Bound == From;
+    if (Live && OpeningsOnly && !Opening) {
+      ++It;
+      continue;
+    }
+    if (Live) {
+      *Bound = To;
+      Moved.push_back(B);
+    }
+    It = RangeBounds.erase(It); // Moved, or a record the views outlived.
+  }
+  if (To != Entries.end())
+    for (const RangeBound &B : Moved)
+      RangeBounds.emplace(&*To, B);
 }
 
 EntryIter MaoUnit::erase(EntryIter Pos) {
   std::lock_guard<std::mutex> Lock(StructuralM);
+  ++LayoutGen;
+  // A range whose Begin or End is the erased node would hold a dangling
+  // iterator; the node after it is where the range now starts (or still
+  // ends). Only ranges of the erasing shard's own function, and section
+  // ranges no shard reads, can bound at a node a shard erases.
+  retargetBounds(Pos, std::next(Pos), /*OpeningsOnly=*/false);
   return Entries.erase(Pos);
 }
 
 void MaoUnit::moveRange(EntryIter First, EntryIter Last, EntryIter Before) {
   std::lock_guard<std::mutex> Lock(StructuralM);
+  ++LayoutGen;
   Entries.splice(Before, Entries, First, Last);
 }
 
@@ -167,18 +225,21 @@ std::string trimmed(const std::string &S) {
 
 void MaoUnit::rebuildStructure() {
   StructureDirty = false;
+  ++LayoutGen; // Conservative: ranges decide which entries get addresses.
   Labels.clear();
+  RangeBounds.clear();
   Sections.clear();
   Functions.clear();
 
   // Pass 1: label map and the set of symbols declared @function.
   std::unordered_map<std::string, bool> IsFunctionSym;
-  for (MaoEntry &E : Entries) {
+  for (EntryIter It = Entries.begin(), End = Entries.end(); It != End; ++It) {
+    const MaoEntry &E = *It;
     // First definition wins on duplicates: fall-through execution reaches
     // the first one, and the emulator binds the same way. The parser warns
     // (MAO-parse-duplicate-label) and the full verifier rejects.
     if (E.isLabel())
-      Labels.try_emplace(E.labelName(), &E);
+      Labels.try_emplace(E.labelName(), It);
     if (E.isDirective(DirKind::Type)) {
       const Directive &Dir = E.directive();
       const std::string &TypeArg = Dir.arg(1);
@@ -264,6 +325,21 @@ void MaoUnit::rebuildStructure() {
   }
   closeSectionRun(Entries.end());
   closeFunction(Entries.end());
+
+  auto NoteBounds = [&](const std::vector<MaoFunction::Range> &Ranges,
+                        uint32_t Owner, bool IsSection) {
+    for (uint32_t R = 0; R < Ranges.size(); ++R) {
+      RangeBounds.emplace(&*Ranges[R].Begin,
+                          RangeBound{Owner, R, IsSection, /*IsEnd=*/false});
+      if (Ranges[R].End != Entries.end())
+        RangeBounds.emplace(&*Ranges[R].End,
+                            RangeBound{Owner, R, IsSection, /*IsEnd=*/true});
+    }
+  };
+  for (uint32_t F = 0; F < Functions.size(); ++F)
+    NoteBounds(Functions[F].ranges(), F, /*IsSection=*/false);
+  for (uint32_t S = 0; S < Sections.size(); ++S)
+    NoteBounds(Sections[S].Ranges, S, /*IsSection=*/true);
 
   // Mark functions containing opaque instructions.
   for (MaoFunction &Fn : Functions)

@@ -19,6 +19,7 @@
 #include "ir/MaoEntry.h"
 #include "support/Arena.h"
 
+#include <any>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -172,7 +173,10 @@ public:
     Other.Functions.clear();
     Other.Sections.clear();
     Other.Labels.clear();
+    Other.RangeBounds.clear();
     Other.StructureDirty = false;
+    Other.LayoutCache.reset();
+    ++Other.LayoutGen;
     // The derived views are rebuilt lazily on first access, not here: a
     // unit is moved three times on its way out of the parser (into the
     // status wrapper, then to the caller), and eager rebuilding made that
@@ -180,7 +184,11 @@ public:
     Functions.clear();
     Sections.clear();
     Labels.clear();
+    RangeBounds.clear();
     StructureDirty = true;
+    // The entries changed wholesale: no cached layout survives a move.
+    LayoutCache.reset();
+    ++LayoutGen;
     return *this;
   }
 
@@ -213,6 +221,7 @@ public:
   /// this is the parser's hot path, where entries arrive one per line.
   template <class... ArgsT> EntryIter emplaceBack(ArgsT &&...Args) {
     std::lock_guard<std::mutex> Lock(StructuralM);
+    ++LayoutGen;
     EntryIter It = Entries.emplace(Entries.end(),
                                    std::forward<ArgsT>(Args)...);
     It->Id = nextId();
@@ -220,17 +229,24 @@ public:
   }
 
   /// Inserts before \p Pos; returns an iterator to the inserted entry.
+  /// When \p Pos opens a section range (or a function range resumed after
+  /// a section switch), the range grows to include the new entry, as a
+  /// rebuild would decide.
   EntryIter insertBefore(EntryIter Pos, MaoEntry Entry);
   /// Inserts after \p Pos; returns an iterator to the inserted entry.
+  /// Ranges are kept as insertBefore(std::next(Pos)) keeps them.
   EntryIter insertAfter(EntryIter Pos, MaoEntry Entry);
-  /// Removes \p Pos; returns the iterator following it.
+  /// Removes \p Pos; returns the iterator following it. A function or
+  /// section range that began or ended at \p Pos is repaired to start (or
+  /// end) at the following entry, so the views stay walkable without a
+  /// rebuild.
   EntryIter erase(EntryIter Pos);
 
   /// Moves the entry range [First, Last) to immediately before \p Before
   /// in O(1) (a list splice): iterators into the moved range stay valid
   /// and travel with their entries. \p Before must not lie inside
-  /// [First, Last). Like every structural edit, this leaves the
-  /// section/function views stale until rebuildStructure().
+  /// [First, Last). Unlike insert and erase, this does not repair the
+  /// views: they stay stale until rebuildStructure().
   void moveRange(EntryIter First, EntryIter Last, EntryIter Before);
 
   /// Entry-ID block size handed to each shard of a sharded function pass.
@@ -249,12 +265,14 @@ public:
 
   /// (Re)computes sections and functions from the entry list. Passes that
   /// restructure function boundaries re-invoke it. Structural edits
-  /// (append/insert/erase) deliberately do NOT schedule a rebuild — the
-  /// views go stale until the caller rebuilds, which sharded passes rely
-  /// on. Moving or cloning a unit marks the views dirty instead, and the
-  /// accessors below rebuild on first use; a dirty unit must not be read
-  /// from several threads until one caller has rebuilt it (the pipeline
-  /// rebuilds before every parallel region already).
+  /// (append/insert/erase) deliberately do NOT schedule a rebuild, which
+  /// sharded passes rely on; insert and erase repair the range endpoints
+  /// they touch, and anything else (new functions, moved blocks) stays
+  /// stale until the caller rebuilds. Moving or cloning a unit marks the
+  /// views dirty instead, and the accessors below rebuild on first use; a
+  /// dirty unit must not be read from several threads until one caller
+  /// has rebuilt it (the pipeline rebuilds before every parallel region
+  /// already).
   void rebuildStructure();
 
   std::vector<MaoFunction> &functions() {
@@ -273,14 +291,15 @@ public:
   /// Finds a function by name; null when absent.
   MaoFunction *findFunction(const std::string &Name);
 
-  /// Label name -> defining entry. Rebuilt by rebuildStructure(); passes
-  /// inserting labels must re-run it or register labels explicitly.
+  /// Label name -> position of the defining entry in the entry list, so a
+  /// reader can walk on from a label in O(1). Rebuilt by
+  /// rebuildStructure(); passes inserting labels must re-run it.
   /// Keys are views into entry-owned storage (stable: list nodes never
   /// move) and must not outlive the unit. Duplicate definitions bind to
   /// the FIRST occurrence — the one branch fall-through reaches — matching
   /// the emulator; the parser diagnoses redefinitions (MAO-parse-
   /// duplicate-label) and the verifier rejects them outright.
-  const std::unordered_map<std::string_view, MaoEntry *> &labelMap() const {
+  const std::unordered_map<std::string_view, EntryIter> &labelMap() const {
     ensureStructure();
     return Labels;
   }
@@ -292,6 +311,29 @@ public:
 
   /// The unit's arena (IR nodes + interned strings); exposed for stats.
   const Arena &arena() const { return *IrArena; }
+
+  /// The layout generation: a counter that moves whenever the entries'
+  /// sizes or order may have changed. Every structural editor (append,
+  /// emplaceBack, insertBefore/After, erase, moveRange, rebuildStructure)
+  /// bumps it, as do moves and clones, and markLayoutDirty() covers
+  /// in-place rewrites. relaxUnit caches its converged result against it,
+  /// so an unchanged unit is not re-relaxed (see DESIGN.md, "Repeated
+  /// relaxation").
+  uint64_t layoutGeneration() const { return LayoutGen; }
+
+  /// Declares that entries were rewritten in place (an operand, a width, a
+  /// directive argument) so any cached layout is stale. The pass runner
+  /// calls this at every pass-request boundary; code that edits in place
+  /// and then relaxes within one pass must call it itself.
+  void markLayoutDirty() {
+    std::lock_guard<std::mutex> Lock(StructuralM);
+    ++LayoutGen;
+  }
+
+  /// Opaque slot for the relaxer's cached result. The IR does not know the
+  /// type (relaxation lives in the analysis layer); it only owns the
+  /// storage, and drops it when a move replaces the entries.
+  std::any &layoutCache() { return LayoutCache; }
 
   /// Generates a fresh MAO-local label name (".LMAO<n>").
   std::string makeUniqueLabel();
@@ -321,7 +363,22 @@ private:
   EntryList Entries;
   std::vector<MaoFunction> Functions;
   std::vector<SectionInfo> Sections;
-  std::unordered_map<std::string_view, MaoEntry *> Labels;
+  std::unordered_map<std::string_view, EntryIter> Labels;
+  /// Which range endpoints sit on which entry, so insert and erase can
+  /// repair the ranges they touch. Built by rebuildStructure().
+  struct RangeBound {
+    uint32_t Owner;    ///< Function index, or section index.
+    uint32_t RangeIdx; ///< Index into the owner's ranges.
+    bool IsSection;
+    bool IsEnd;
+  };
+  std::unordered_multimap<const MaoEntry *, RangeBound> RangeBounds;
+  /// Returns the range endpoint \p B names, or null when the views no
+  /// longer have that range.
+  EntryIter *boundRef(const RangeBound &B);
+  /// Re-points the range endpoints sitting on \p From to \p To (only the
+  /// range openings when \p OpeningsOnly). Caller holds StructuralM.
+  void retargetBounds(EntryIter From, EntryIter To, bool OpeningsOnly);
   uint32_t NextEntryId = 1;
   uint32_t NextLabelId = 0;
   /// True when a move or clone invalidated the derived views; cleared by
@@ -329,6 +386,11 @@ private:
   /// its (empty) entry list, and callers that append entries read empty
   /// views until they rebuild, exactly as before views went lazy.
   bool StructureDirty = false;
+  /// See layoutGeneration(). The editors bump it under StructuralM;
+  /// rebuildStructure() and moves never run beside shards.
+  uint64_t LayoutGen = 0;
+  /// See layoutCache(). Not copied by clone(): a copy starts cold.
+  std::any LayoutCache;
   /// Serializes structural edits (insert/erase/append). Deliberately not
   /// moved by the move operations — a unit is never moved while shards
   /// are running (whole-unit passes are pipeline barriers).

@@ -73,6 +73,15 @@ private:
 
   std::unordered_map<const MaoEntry *, size_t> Index;
   EntryIter UnitEnd;
+
+  /// Per-entry layout the unit claimed as cached; empty when it claimed
+  /// none.
+  struct CachedLayout {
+    int64_t Address;
+    uint32_t Size;
+    uint8_t BranchSize;
+  };
+  std::vector<CachedLayout> Claimed;
 };
 
 void Checker::issue(DiagCode Code, std::string Message) {
@@ -172,9 +181,10 @@ void Checker::checkStructure() {
             "function entry ranges overlap");
 
   // The label map must agree with the entry list.
-  for (const auto &[Name, Entry] : Unit.labelMap()) {
+  for (const auto &[Name, Pos] : Unit.labelMap()) {
     if (full())
       return;
+    const MaoEntry *Entry = &*Pos;
     auto Found = Index.find(Entry);
     if (Found == Index.end() || !Entry->isLabel() ||
         Entry->labelName() != Name)
@@ -286,12 +296,36 @@ void Checker::checkEncodings() {
 }
 
 void Checker::checkLayout() {
-  RelaxationResult Relax = relaxUnit(Unit);
+  // Always relax cold: the cached layout is what is under test. When the
+  // unit claimed a clean layout (see run()), the cold result must match
+  // what every entry carried, or a mutation skipped the dirty mark.
+  Unit.markLayoutDirty();
+  const RelaxationResult &Relax = relaxUnit(Unit);
   if (!Relax.Converged) {
     issue(DiagCode::VerifyRelaxationDiverged,
           "relaxation did not converge within " +
               std::to_string(RelaxationIterationLimit) + " iterations");
     return;
+  }
+
+  if (!Claimed.empty()) {
+    size_t I = 0;
+    for (const MaoEntry &E : Unit.entries()) {
+      const CachedLayout &Was = Claimed[I++];
+      const uint8_t BranchSize =
+          E.isInstruction() ? E.instruction().BranchSize : 0;
+      if (Was.Address == E.Address && Was.Size == E.Size &&
+          Was.BranchSize == BranchSize)
+        continue;
+      issue(DiagCode::VerifyLayoutStale,
+            "stale layout: '" + E.toString() + "' was cached at address " +
+                std::to_string(Was.Address) + " size " +
+                std::to_string(Was.Size) + ", relaxes to address " +
+                std::to_string(E.Address) + " size " +
+                std::to_string(E.Size) +
+                " (an edit did not mark the layout dirty)");
+      return;
+    }
   }
 
   // Address/size self-consistency per section: addresses must accumulate
@@ -376,6 +410,17 @@ VerifierReport Checker::run() {
   // ranges). The label and encoding checks walk the raw entry list and
   // need neither the rebuild nor the entry index — keeping them cheap is
   // what makes per-pass verification affordable (VerifierOptions::fast()).
+  //
+  // A unit whose layout is cached claims every entry's Address, Size and
+  // BranchSize are current; remember them before the rebuild moves the
+  // generation, so checkLayout can hold the claim against a cold relax.
+  if (Options.CheckLayout && layoutIsCached(Unit)) {
+    Claimed.reserve(Unit.entries().size());
+    for (const MaoEntry &E : Unit.entries())
+      Claimed.push_back(
+          {E.Address, E.Size,
+           E.isInstruction() ? E.instruction().BranchSize : uint8_t(0)});
+  }
   if (Options.CheckStructure || Options.CheckLayout)
     Unit.rebuildStructure();
 

@@ -21,15 +21,19 @@
 ///     gap or overlap, and every relaxed direct branch holds a valid
 ///     rel8/rel32 choice that is a fixpoint (a rel8 branch's displacement
 ///     actually fits) — the branch-displacement well-formedness conditions
-///     of Boender & Sacerdoti Coen.
+///     of Boender & Sacerdoti Coen. The check always relaxes cold; when
+///     the unit claimed a cached layout (relaxUnit's cache was valid for
+///     its layout generation), every entry's Address, Size and BranchSize
+///     must equal the cold result, or the verifier reports a stale layout:
+///     some edit did not bump the generation or mark the layout dirty.
 ///
 /// verifyUnit() re-derives the structure (rebuildStructure) before the
 /// structure and layout checks, because passes legitimately mutate the
 /// entry list without rebuilding; the verifier checks the IR, not the
 /// staleness of cached views. The label and encoding checks walk the raw
 /// entry list and skip the rebuild. Layout checks re-run relaxation and
-/// therefore refresh the Address/Size annotations; textual emission is
-/// unaffected.
+/// therefore refresh the Address/Size annotations (and the unit's cached
+/// layout); textual emission is unaffected.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -199,7 +199,14 @@ struct UnitFootprint {
 /// encodeInstructionNoInject so the fault injector's per-site draw
 /// sequence is identical whether or not stats collection is on —
 /// observability must never change what a fault-injected run does.
+///
+/// A direct branch is priced at its rel32 form whatever width relaxation
+/// chose: the width is a layout decision, and pricing it would credit the
+/// first pass that happens to relax with the relaxer's shrinkage (a pass
+/// with no transformation must show a zero byte delta).
 UnitFootprint measureFootprint(const MaoUnit &Unit) {
+  // jcc rel32 is 0f 8x + disp32, jmp rel32 is e9 + disp32.
+  constexpr unsigned Rel32JccLength = 6, Rel32JmpLength = 5;
   UnitFootprint F;
   EncodeCache &Cache = EncodeCache::instance();
   std::vector<uint8_t> Bytes;
@@ -210,6 +217,10 @@ UnitFootprint measureFootprint(const MaoUnit &Unit) {
     const Instruction &Insn = E.instruction();
     if (Insn.isOpaque()) {
       F.Bytes += OpaqueInstructionSizeEstimate;
+      continue;
+    }
+    if (Insn.isBranch() && !Insn.hasIndirectTarget()) {
+      F.Bytes += Insn.isCondJump() ? Rel32JccLength : Rel32JmpLength;
       continue;
     }
     if (std::optional<unsigned> Cached = Cache.cachedLength(Insn)) {
@@ -239,6 +250,10 @@ ErrorOr<unsigned> executeRequest(MaoUnit &Unit, const PassRequest &Req,
   PassRegistry &Registry = PassRegistry::instance();
   MaoOptionMap PassOptions = Req.Options; // Mutable copy for the pass.
   Clock::time_point Start = Clock::now();
+  // Pass-request boundary: whatever the previous pass rewrote in place,
+  // the first relax of this one starts cold (DESIGN.md, "Repeated
+  // relaxation").
+  Unit.markLayoutDirty();
 
   if (FaultInjector::instance().shouldFail(FaultSite::PassRunner))
     throw std::runtime_error("injected pass-runner fault");
@@ -306,6 +321,7 @@ unsigned executeSharded(MaoUnit &Unit, const PassRequest &Req,
                         const std::set<size_t> &SkipFns,
                         std::vector<ShardFailure> &Failures) {
   Clock::time_point Start = Clock::now();
+  Unit.markLayoutDirty(); // Pass-request boundary, as in executeRequest.
 
   if (FaultInjector::instance().shouldFail(FaultSite::PassRunner))
     throw std::runtime_error("injected pass-runner fault");

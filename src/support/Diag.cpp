@@ -49,6 +49,8 @@ const char *mao::diagCodeName(DiagCode Code) {
     return "verify-layout-inconsistent";
   case DiagCode::VerifyRelaxationDiverged:
     return "verify-relaxation-diverged";
+  case DiagCode::VerifyLayoutStale:
+    return "verify-layout-stale";
   case DiagCode::CheckSemanticDiverged:
     return "check-semantic-diverged";
   case DiagCode::LintUseBeforeDef:

@@ -53,6 +53,7 @@ enum class DiagCode : uint16_t {
   VerifyEncodingFailed,
   VerifyLayoutInconsistent,
   VerifyRelaxationDiverged,
+  VerifyLayoutStale,
   // MaoCheck semantic validator.
   CheckSemanticDiverged,
   // MaoCheck linter rules.

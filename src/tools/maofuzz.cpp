@@ -127,9 +127,9 @@ WorkloadSpec randomSpec(uint64_t Seed) {
 /// files); the list is filtered against the registry so a renamed pass
 /// shows up as a loud failure, not silent no-coverage.
 const char *const CandidatePasses[] = {
-    "ZEE",    "REDTEST", "REDMOV", "ADDADD",  "CONSTFOLD", "DCE",
-    "LOOP16", "LSDOPT",  "BRALIGN", "SCHED",  "NOPIN",     "NOPKILL",
-    "LFIND",  "MAOPASS", "INSTRUMENT",
+    "ZEE",    "REDTEST", "REDMOV",     "ADDADD",   "CONSTFOLD", "DCE",
+    "LOOP16", "LSDOPT",  "BRALIGN",    "SCHED",    "NOPIN",     "NOPKILL",
+    "LFIND",  "MAOPASS", "INSTRUMENT", "ALIGNSEL",
 };
 
 std::vector<api::PassSpec> randomPipeline(uint64_t Seed) {
@@ -154,6 +154,11 @@ std::vector<api::PassSpec> randomPipeline(uint64_t Seed) {
                                 std::to_string(1 + Rng.nextBelow(1000)));
       Spec.Options.emplace_back("density",
                                 std::to_string(1 + Rng.nextBelow(16)));
+    }
+    if (Name == "ALIGNSEL") {
+      // Entry alignment 0 strips it; loop alignment 0 leaves loops alone.
+      Spec.Options.emplace_back("pow", std::to_string(Rng.nextBelow(6)));
+      Spec.Options.emplace_back("loops", std::to_string(Rng.nextBelow(6)));
     }
     Pipeline.push_back(Spec);
   }
@@ -315,7 +320,11 @@ IterationResult runOne(uint64_t Seed, const FuzzConfig &Config) {
 
   api::OptimizeOptions Options;
   Options.OnError = "rollback";
-  Options.VerifyAfterEachPass = false; // Rollback policy verifies per pass.
+  // The thorough verifier after every pass, not just the label checks the
+  // rollback policy runs anyway: its layout check holds each pass's cached
+  // relaxation against a cold one, so a pass that edits without dirtying
+  // the layout is caught in the pipeline that did it.
+  Options.VerifyAfterEachPass = true;
   // Clean-path + --lint: all candidate passes are semantics-preserving, so
   // a reported divergence is a validator false positive (or a real pass
   // bug) — either way a property violation, surfaced below as a clean-path

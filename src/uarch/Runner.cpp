@@ -38,7 +38,7 @@ ErrorOr<MeasureResult> mao::measureFunction(MaoUnit &Unit,
                                             const std::string &Function,
                                             const MeasureOptions &Options) {
   TimelineSpan Span("sim", "measure:" + Function);
-  RelaxationResult Relax = relaxUnit(Unit);
+  const RelaxationResult &Relax = relaxUnit(Unit);
   if (!Relax.Converged)
     return MaoStatus::error("relaxation did not converge");
 

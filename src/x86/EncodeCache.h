@@ -2,9 +2,9 @@
 ///
 /// \file
 /// A process-wide memoization cache for instruction encoding lengths, the
-/// dominant cost of a relaxation round: relaxation re-measures every
-/// non-branch instruction of a unit once per relaxUnit() call, and the
-/// alignment passes call relaxUnit() once per optimization round, so the
+/// dominant cost of a relaxation round: a cold relaxUnit() measures every
+/// non-branch instruction of the unit, and every pass that relaxes after
+/// the layout changed (or at a pass boundary) relaxes cold again, so the
 /// same instruction content is measured many times over a pipeline.
 ///
 /// Keys are the instruction's full serialized content (mnemonic, widths,

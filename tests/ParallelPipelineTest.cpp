@@ -380,3 +380,23 @@ bad2:
     EXPECT_EQ(emitAssembly(Unit), Before);
   }
 }
+
+TEST(ParallelPipeline, CorpusJumpTablesIdenticalAcrossJobs) {
+  // REDTEST and SCHED read jump tables (CFG::readJumpTable) while sibling
+  // shards erase entries. The table walk must start at the table label
+  // and touch only the table, or a shard reads nodes another one frees.
+  const std::string Source =
+      generateWorkloadAssembly(googleCorpusProfile(0.125));
+  RunSnapshot Jobs1 =
+      runWithJobs(Source, "REDTEST:SCHED", 1, OnErrorPolicy::Abort);
+  ASSERT_TRUE(Jobs1.Ok);
+  ASSERT_GT(Jobs1.Counts[0], 0u);
+  // A race shows only now and then; a few rounds raise the odds.
+  for (int Round = 0; Round < 3; ++Round) {
+    RunSnapshot Jobs4 =
+        runWithJobs(Source, "REDTEST:SCHED", 4, OnErrorPolicy::Abort);
+    ASSERT_TRUE(Jobs4.Ok);
+    EXPECT_EQ(Jobs4.Asm, Jobs1.Asm);
+    EXPECT_EQ(Jobs4.Counts, Jobs1.Counts);
+  }
+}

@@ -12,6 +12,7 @@
 #include "analysis/Relaxer.h"
 #include "asm/AsmEmitter.h"
 #include "asm/Parser.h"
+#include "ir/Verifier.h"
 #include "pass/MaoPass.h"
 #include "sim/Emulator.h"
 
@@ -331,6 +332,89 @@ TEST(ADDADD, PreservesSemantics) {
 	ret
 )"),
                            "ADDADD", {Reg::RAX}, Init);
+}
+
+/// The compiler's switch shape: the function leaves .text for its jump
+/// table and resumes, so the first instruction after the resuming .text
+/// opens the function's second range (and a .text section range).
+const char *const ResumedTextFunction = R"(	.text
+	.globl f
+	.type f, @function
+f:
+	movq .LJT(,%rdi,8), %rax
+	jmp *%rax
+	.section .rodata
+.LJT:
+	.quad .LA
+	.quad .LB
+	.text
+	addq $8, %rsi
+	addq $16, %rsi
+.LA:
+	movq %rsi, %rax
+	ret
+.LB:
+	ret
+	.size f, .-f
+)";
+
+/// True when \p Pos is an entry of \p Unit (or its end()).
+bool inUnit(MaoUnit &Unit, EntryIter Pos) {
+  for (EntryIter It = Unit.entries().begin(); It != Unit.entries().end(); ++It)
+    if (It == Pos)
+      return true;
+  return Pos == Unit.entries().end();
+}
+
+TEST(ADDADD, ErasingTheFirstEntryOfAResumedRangeKeepsViewsValid) {
+  // ADDADD folds the range-opening addq into its partner and erases it;
+  // the ranges must move on to the next entry, because the next pass
+  // walks the function without a rebuild.
+  MaoUnit Unit = parseOk(ResumedTextFunction);
+  ASSERT_EQ(Unit.functions().size(), 1u);
+  ASSERT_EQ(Unit.functions()[0].ranges().size(), 2u);
+  EXPECT_EQ(runPass(Unit, "ADDADD"), 1u);
+
+  for (const MaoFunction::Range &R : Unit.functions()[0].ranges()) {
+    EXPECT_TRUE(inUnit(Unit, R.Begin));
+    EXPECT_TRUE(inUnit(Unit, R.End));
+  }
+  for (const SectionInfo &Sec : Unit.sections())
+    for (const MaoFunction::Range &R : Sec.Ranges) {
+      EXPECT_TRUE(inUnit(Unit, R.Begin)) << Sec.Name;
+      EXPECT_TRUE(inUnit(Unit, R.End)) << Sec.Name;
+    }
+  // The repaired views walk exactly what a rebuild derives, and the next
+  // pass runs over them.
+  EXPECT_EQ(Unit.functions()[0].countInstructions(), 6u);
+  runPass(Unit, "SCHED");
+  const std::string Text = emitAssembly(Unit);
+  EXPECT_NE(Text.find("addq\t$24, %rsi"), std::string::npos) << Text;
+}
+
+TEST(MaoUnit, InsertAtARangeOpeningJoinsTheRange) {
+  // Inserting right after a section switch lands inside the resumed
+  // ranges, as a rebuild would place it; inserting before the function
+  // label stays outside the function. Relaxing over the kept views then
+  // lays out every entry, and the verifier's cold relax agrees.
+  MaoUnit Unit = parseOk(ResumedTextFunction);
+  MaoFunction &Fn = Unit.functions()[0];
+  const EntryIter Opening = Fn.ranges()[1].Begin;
+  ASSERT_TRUE(Opening->isInstruction());
+  const EntryIter Pad =
+      Unit.insertBefore(Opening, MaoEntry::makeInstruction(makeNop(3)));
+  EXPECT_EQ(Fn.ranges()[1].Begin, Pad);
+  const EntryIter Label = Fn.ranges()[0].Begin;
+  const EntryIter Align =
+      Unit.insertBefore(Label, MaoEntry::makeInstruction(makeNop(1)));
+  EXPECT_EQ(Fn.ranges()[0].Begin, Label);
+  EXPECT_EQ(Fn.countInstructions(), 8u);
+
+  ASSERT_TRUE(relaxUnit(Unit).Converged);
+  EXPECT_GE(Pad->Address, 0);
+  EXPECT_GE(Align->Address, 0);
+  VerifierReport Report = verifyUnit(Unit);
+  EXPECT_TRUE(Report.clean()) << Report.firstMessage();
 }
 
 // --- Scalar passes ------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "pass/MaoPass.h"
 #include "support/FaultInjection.h"
 #include "support/Options.h"
+#include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
@@ -365,4 +366,29 @@ TEST(Pipeline, InjectedFaultsAreContained) {
   FaultInjector::instance().reset();
   ASSERT_TRUE(Result.Ok) << Result.Error;
   EXPECT_TRUE(verifyUnit(Unit).clean());
+}
+
+TEST(Pipeline, AlignmentPassesScaleOnCorpus) {
+  // An accidental quadratic in the alignment passes must fail this test,
+  // not be rolled back quietly: each pass runs under a wall-clock budget
+  // with the abort policy. In a RelWithDebInfo build on a 4-core x86-64
+  // VM each pass costs 60-75 ms on the 1/8 corpus when relaxation is
+  // cached on the unit, and 500-800 ms when every per-function query
+  // re-relaxes the whole unit. The budget sits between the two, at more
+  // than four times the cached cost.
+  linkAllPasses();
+  auto UnitOr =
+      parseAssembly(generateWorkloadAssembly(googleCorpusProfile(0.125)));
+  ASSERT_TRUE(UnitOr.ok()) << UnitOr.message();
+  MaoUnit Unit = std::move(*UnitOr);
+  std::vector<PassRequest> Requests;
+  ASSERT_TRUE(parseMaoOption("LOOP16:LSDOPT:BRALIGN", Requests).ok());
+  PipelineOptions Options;
+  Options.OnError = OnErrorPolicy::Abort;
+  Options.PassTimeoutMs = 350;
+  PipelineResult R = runPasses(Unit, Requests, Options);
+  EXPECT_TRUE(R.Ok) << R.Error;
+  ASSERT_EQ(R.Outcomes.size(), Requests.size());
+  for (const PassOutcome &O : R.Outcomes)
+    EXPECT_EQ(O.Status, PassStatus::Ok) << O.PassName << ": " << O.Detail;
 }

@@ -5,11 +5,19 @@
 #include "asm/Assembler.h"
 #include "asm/Parser.h"
 #include "ir/Verifier.h"
+#include "pass/MaoPass.h"
+#include "serve/ArtifactCache.h"
 #include "support/Diag.h"
+#include "support/Stats.h"
+#include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
+#include <tuple>
 
 using namespace mao;
 
@@ -360,6 +368,266 @@ TEST(Relaxer, ParseRelaxModeSpellings) {
   EXPECT_TRUE(parseRelaxMode("grow", Mode));
   EXPECT_EQ(Mode, RelaxMode::Grow);
   EXPECT_FALSE(parseRelaxMode("fastest", Mode));
+}
+
+// --- Layout generation: when relaxUnit may reuse its last result ----------
+
+uint64_t statValue(const char *Name) {
+  return StatsRegistry::instance().counter(Name).value();
+}
+
+MaoUnit sampleUnit() { return parseOk(paperExample(15, /*WithNop=*/false)); }
+
+/// Relaxes \p Unit so its cached layout is current.
+void relaxNow(MaoUnit &Unit) {
+  ASSERT_TRUE(relaxUnit(Unit).Converged);
+  ASSERT_TRUE(layoutIsCached(Unit));
+}
+
+EntryIter firstInsn(MaoUnit &Unit) {
+  EntryIter It = Unit.entries().begin();
+  while (!It->isInstruction())
+    ++It;
+  return It;
+}
+
+TEST(RelaxerCache, EveryEditorDirtiesTheLayout) {
+  using Edit = std::function<void(MaoUnit &)>;
+  const std::pair<const char *, Edit> Edits[] = {
+      {"append",
+       [](MaoUnit &U) { U.append(MaoEntry::makeInstruction(makeNop(1))); }},
+      {"emplaceBack", [](MaoUnit &U) { U.emplaceBack(makeNop(1)); }},
+      {"insertBefore",
+       [](MaoUnit &U) {
+         U.insertBefore(firstInsn(U), MaoEntry::makeInstruction(makeNop(1)));
+       }},
+      {"insertAfter",
+       [](MaoUnit &U) {
+         U.insertAfter(firstInsn(U), MaoEntry::makeInstruction(makeNop(1)));
+       }},
+      {"erase", [](MaoUnit &U) { U.erase(firstInsn(U)); }},
+      {"moveRange",
+       [](MaoUnit &U) {
+         EntryIter First = firstInsn(U);
+         U.moveRange(First, std::next(First), U.entries().end());
+       }},
+      {"rebuildStructure", [](MaoUnit &U) { U.rebuildStructure(); }},
+      {"markLayoutDirty", [](MaoUnit &U) { U.markLayoutDirty(); }},
+      {"move-assign", [](MaoUnit &U) { U = sampleUnit(); }},
+  };
+  for (const auto &[Name, Apply] : Edits) {
+    MaoUnit Unit = sampleUnit();
+    relaxNow(Unit);
+    const uint64_t Before = Unit.layoutGeneration();
+    Apply(Unit);
+    EXPECT_NE(Unit.layoutGeneration(), Before) << Name;
+    EXPECT_FALSE(layoutIsCached(Unit)) << Name;
+  }
+  // A clone starts cold, and so does the unit a move left behind.
+  MaoUnit Unit = sampleUnit();
+  relaxNow(Unit);
+  MaoUnit Copy = Unit.clone();
+  EXPECT_FALSE(layoutIsCached(Copy));
+  MaoUnit Taken = std::move(Unit);
+  EXPECT_FALSE(layoutIsCached(Taken));
+}
+
+TEST(RelaxerCache, UnchangedUnitIsServedFromTheCache) {
+  MaoUnit Unit = sampleUnit();
+  relaxNow(Unit);
+  std::vector<std::tuple<int64_t, uint32_t, uint8_t>> Cold;
+  for (const MaoEntry &E : Unit.entries())
+    Cold.emplace_back(E.Address, E.Size,
+                      E.isInstruction() ? E.instruction().BranchSize : 0);
+  const RelaxationResult ColdResult = relaxUnit(Unit);
+
+  const uint64_t ColdRuns = statValue("relax.cold");
+  const uint64_t Served = statValue("relax.cached");
+  const RelaxationResult &Again = relaxUnit(Unit);
+  EXPECT_EQ(statValue("relax.cold"), ColdRuns);
+  EXPECT_EQ(statValue("relax.cached"), Served + 1);
+  EXPECT_TRUE(Again.Converged);
+  EXPECT_EQ(Again.Iterations, ColdResult.Iterations);
+  EXPECT_EQ(Again.Labels, ColdResult.Labels);
+  EXPECT_EQ(Again.SectionSizes, ColdResult.SectionSizes);
+  size_t I = 0;
+  for (const MaoEntry &E : Unit.entries())
+    EXPECT_EQ(std::make_tuple(E.Address, E.Size,
+                              E.isInstruction() ? E.instruction().BranchSize
+                                                : uint8_t(0)),
+              Cold[I++]);
+
+  // Switching the relax mode is a different question: relax again.
+  ScopedRelaxMode M(RelaxMode::Optimal);
+  EXPECT_FALSE(layoutIsCached(Unit));
+  relaxUnit(Unit);
+  EXPECT_EQ(statValue("relax.cold"), ColdRuns + 1);
+}
+
+TEST(RelaxerCache, NonConvergedResultIsNeverCached) {
+  MaoUnit Unit = parseOk(growthCascade(RelaxationIterationLimit + 1));
+  DiagEngine Diags;
+  for (int I = 0; I < 2; ++I) {
+    EXPECT_FALSE(relaxUnit(Unit, &Diags).Converged);
+    EXPECT_FALSE(layoutIsCached(Unit));
+  }
+  // Both calls relaxed, so both warned.
+  EXPECT_EQ(Diags.warningCount(), 2u);
+}
+
+TEST(RelaxerCache, VerifierReportsEditThatSkippedTheDirtyMark) {
+  MaoUnit Unit = sampleUnit();
+  relaxNow(Unit);
+  // Widen an immediate in place (imm8 -> imm32 grows the add by 3 bytes)
+  // without telling the unit: its cached layout is now a lie.
+  for (MaoEntry &E : Unit.entries())
+    if (E.isInstruction() && E.instruction().Mn == Mnemonic::ADD) {
+      E.instruction().Ops[0] = Operand::makeImm(100000);
+      break;
+    }
+  VerifierReport Report = verifyUnit(Unit);
+  bool SawStale = false;
+  for (const Diagnostic &Issue : Report.Issues)
+    SawStale |= Issue.Code == DiagCode::VerifyLayoutStale;
+  EXPECT_TRUE(SawStale) << Report.firstMessage();
+
+  // The same edit, declared, verifies clean.
+  MaoUnit Declared = sampleUnit();
+  relaxNow(Declared);
+  for (MaoEntry &E : Declared.entries())
+    if (E.isInstruction() && E.instruction().Mn == Mnemonic::ADD) {
+      E.instruction().Ops[0] = Operand::makeImm(100000);
+      break;
+    }
+  Declared.markLayoutDirty();
+  VerifierReport Clean = verifyUnit(Declared);
+  EXPECT_TRUE(Clean.clean()) << Clean.firstMessage();
+}
+
+// --- Byte-identity pins for the relaxing passes -----------------------------
+
+/// bench_branch_alias's kernel: two short loops whose back branches share
+/// a 32-byte predictor bucket until BRALIGN pads between them.
+std::string branchAliasKernel() {
+  std::string S;
+  S += "\t.text\n\t.globl bench_main\n\t.type bench_main, @function\n";
+  S += "bench_main:\n\tpushq %rbp\n\tmovq %rsp, %rbp\n";
+  S += "\tmovl $200000, %ecx\n.LWORK:\n";
+  S += "\timull $3, %eax, %eax\n\timull $5, %eax, %eax\n";
+  S += "\tsubl $1, %ecx\n\tjne .LWORK\n";
+  S += "\tmovl $800, %r15d\n\t.p2align 5\n.LOUTER:\n";
+  S += "\tmovl $1, %ecx\n.LI1:\n\taddl $1, %eax\n\tsubl $1, %ecx\n";
+  S += "\tjne .LI1\n";
+  S += "\tmovl $2, %ecx\n.LI2:\n\taddl $1, %edx\n\tsubl $1, %ecx\n";
+  S += "\tjne .LI2\n";
+  S += "\tsubl $1, %r15d\n\tjne .LOUTER\n";
+  S += ".LDONE:\n\tmovl $0, %eax\n\tleave\n\tret\n";
+  S += "\t.size bench_main, .-bench_main\n";
+  return S;
+}
+
+/// bench_lsd_layout's kernel (paper Figs. 4/5): a loop placed at a bad
+/// offset so it spans six decode lines until LSDOPT pads it into four.
+std::string lsdLayoutKernel() {
+  std::string S;
+  S += "\t.text\n\t.globl bench_main\n\t.type bench_main, @function\n";
+  S += "bench_main:\n\tpushq %rbp\n\tmovq %rsp, %rbp\n";
+  S += "\tmovl $2000, %r10d\n\tmovl $0, %r8d\n";
+  S += "\tmovl $1, %ecx\n\tmovl $2, %edx\n\t.p2align 4\n\tnop15\n";
+  S += ".L0:\n\tcmpl %ecx, %edx\n\tjne .L1\n\taddl $3, %r9d\n";
+  S += "\tjmp .L1\n.L1:\n\taddl $7, %r9d\n\tmovl %ecx, %edx\n";
+  S += "\taddl $1, %esi\n\taddl $2, %edi\n\taddl $3, %r11d\n";
+  S += "\taddl $4, %esi\n\taddl $5, %edi\n\taddl $6, %r11d\n";
+  S += "\taddl $7, %esi\n\tjmp .L2\n.L2:\n\taddl $1, %r10d\n";
+  S += "\taddl $9, %r8d\n\taddl $1, %esi\n\tsubl $2, %r10d\n";
+  S += "\tjne .L0\n\tmovl $0, %eax\n\tleave\n\tret\n";
+  S += "\t.size bench_main, .-bench_main\n";
+  return S;
+}
+
+std::string readExample(const std::string &Name) {
+  std::ifstream In(std::string(MAO_EXAMPLES_DIR) + "/" + Name);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  EXPECT_FALSE(Buf.str().empty()) << Name;
+  return Buf.str();
+}
+
+/// Inputs on which the relaxing passes actually pad: the tuner examples,
+/// the SPEC profiles of the LOOP16 benches, and the BRALIGN/LSDOPT bench
+/// kernels. (The Google corpus is not enough: nothing in it is padded.)
+std::vector<std::string> pinInputs() {
+  std::vector<std::string> Inputs = {readExample("tune_alias.s"),
+                                     readExample("tune_lsd.s"),
+                                     readExample("tune_fig1.s")};
+  for (const char *Bench :
+       {"252.eon", "175.vpr", "176.gcc", "300.twolf", "181.mcf", "186.crafty"})
+    Inputs.push_back(generateWorkloadAssembly(*findBenchmarkProfile(Bench)));
+  Inputs.push_back(branchAliasKernel());
+  Inputs.push_back(lsdLayoutKernel());
+  return Inputs;
+}
+
+struct PassPin {
+  const char *Pass;
+  const char *Options; ///< "name=value,..." or "".
+  uint64_t Digest;
+};
+
+/// Digests (FNV-1a, chained over pinInputs() in order) of the emitted
+/// assembly and the assembled section bytes after every pass that relaxes
+/// while it runs, recorded before relaxation results were cached on the
+/// unit. Both --mao-relax modes agree on these inputs (none has a branch
+/// the minimality audit can shrink), at every job count. A change here
+/// means a pass decided differently on the same input.
+const PassPin Pins[] = {
+    {"LOOP16", "", 0xd981c4e87f83e30dULL},
+    {"LSDOPT", "", 0xf52ea88e3b70f7f0ULL},
+    {"BRALIGN", "", 0xcee5a193aa5dd2ffULL},
+    {"ALIGNSEL", "pow=5,loops=4", 0x95761cd7d9075656ULL},
+    {"INSTRUMENT", "", 0x3af6edaaae5b589cULL},
+};
+
+TEST(RelaxerPins, RelaxingPassesEmitPinnedBytes) {
+  linkAllPasses();
+  const std::vector<std::string> Inputs = pinInputs();
+  for (const PassPin &Pin : Pins) {
+    PassRequest Req;
+    Req.PassName = Pin.Pass;
+    std::stringstream Opts(Pin.Options);
+    for (std::string KV; std::getline(Opts, KV, ',');)
+      Req.Options.set(KV.substr(0, KV.find('=')),
+                      KV.substr(KV.find('=') + 1));
+    for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {
+      ScopedRelaxMode M(Mode);
+      for (unsigned Jobs : {1u, 4u}) {
+        uint64_t Digest = 0xcbf29ce484222325ULL;
+        unsigned Transformations = 0;
+        for (const std::string &Text : Inputs) {
+          MaoUnit Unit = parseOk(Text);
+          PipelineOptions Options;
+          Options.Jobs = Jobs;
+          PipelineResult R = runPasses(Unit, {Req}, Options);
+          ASSERT_TRUE(R.Ok) << Pin.Pass << ": " << R.Error;
+          Transformations += R.Outcomes[0].Transformations;
+          Digest = serve::fnv1a64(emitAssembly(Unit), Digest);
+          // The encoded bytes pin the layout the pass left behind too.
+          ErrorOr<SectionBytes> Bytes = assembleUnit(Unit);
+          ASSERT_TRUE(Bytes.ok()) << Pin.Pass << ": " << Bytes.message();
+          for (const auto &[Section, Data] : *Bytes)
+            Digest = serve::fnv1a64(
+                std::string_view(reinterpret_cast<const char *>(Data.data()),
+                                 Data.size()),
+                serve::fnv1a64(Section, Digest));
+        }
+        EXPECT_GT(Transformations, 0u) << Pin.Pass << " pads nothing";
+        EXPECT_EQ(Digest, Pin.Digest)
+            << Pin.Pass
+            << " mode=" << (Mode == RelaxMode::Grow ? "grow" : "optimal")
+            << " jobs=" << Jobs << std::hex << " digest=0x" << Digest;
+      }
+    }
+  }
 }
 
 // --- Assembler integration --------------------------------------------------

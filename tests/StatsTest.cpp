@@ -395,4 +395,37 @@ TEST(Report, ContentsReflectTheRun) {
   mao::api::Session::resetGlobalStats();
 }
 
+TEST(Report, NoOpPassHasZeroByteDelta) {
+  // BRALIGN relaxes the unit and finds nothing to separate in kKernel's
+  // single loop. Relaxation narrows the loop's jne to rel8 on the way;
+  // that is the layout's doing, not the pass's, and must not show up as
+  // the pass's byte delta.
+  mao::api::Session::resetGlobalStats();
+  mao::api::Session Session;
+  mao::api::Program Program;
+  ASSERT_TRUE(Session.parseText(kKernel, "t.s", Program).Ok);
+  std::vector<mao::api::PassSpec> Pipeline;
+  ASSERT_TRUE(
+      mao::api::Session::parsePipelineSpec("bralign,lsdopt", Pipeline).Ok);
+  mao::api::OptimizeOptions Options;
+  Options.CollectStats = true;
+  ASSERT_TRUE(Session.optimize(Program, Pipeline, Options).Ok);
+
+  mao::api::RunReport Report = Session.lastReport();
+  ASSERT_EQ(Report.Passes.size(), 2u);
+  for (const mao::api::PassOutcomeInfo &P : Report.Passes) {
+    EXPECT_EQ(P.Transformations, 0u) << P.Pass;
+    EXPECT_EQ(P.InstructionDelta, 0) << P.Pass;
+    EXPECT_EQ(P.ByteDelta, 0) << P.Pass;
+  }
+  // Both passes relaxed, and each relaxed cold: a pass-request boundary
+  // invalidates the cached layout.
+  uint64_t Cold = 0;
+  for (const auto &KV : Report.Counters)
+    if (KV.first == "relax.cold")
+      Cold = KV.second;
+  EXPECT_EQ(Cold, 2u);
+  mao::api::Session::resetGlobalStats();
+}
+
 } // namespace
