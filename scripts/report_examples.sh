@@ -51,7 +51,7 @@ required = ["version", "input", "pipeline", "caches", "counters", "timings"]
 missing = [k for k in required if k not in d]
 if missing:
     sys.exit("missing keys: " + ", ".join(missing))
-if d["version"] != 1:
+if d["version"] != 2:
     sys.exit("unexpected version: %r" % d["version"])
 if not isinstance(d["pipeline"].get("passes"), list):
     sys.exit("pipeline.passes is not a list")

@@ -3,8 +3,6 @@
 #include "ir/Verifier.h"
 
 #include "analysis/Relaxer.h"
-#include "support/FaultInjection.h"
-#include "x86/EncodeCache.h"
 #include "x86/Encoder.h"
 
 #include <algorithm>
@@ -264,34 +262,19 @@ void Checker::checkLabels() {
 
 void Checker::checkEncodings() {
   std::vector<uint8_t> Bytes; // Reused across entries; cleared per encode.
-  EncodeCache &Cache = EncodeCache::instance();
   for (const MaoEntry &E : Unit.entries()) {
     if (full())
       return;
     if (!E.isInstruction() || E.instruction().isOpaque())
       continue;
     const Instruction &Insn = E.instruction();
-    // The injection decision is drawn here, exactly once per instruction,
-    // regardless of the cache state — if the cache were allowed to swallow
-    // encodeInstruction()'s internal draw on a hit, a warm cache would
-    // shift the draw sequence of everything after it and in-process runs
-    // with the same seed would stop being deterministic.
-    if (FaultInjector::instance().shouldFail(FaultSite::Encoder)) {
-      issue(DiagCode::VerifyEncodingFailed,
-            "instruction '" + Insn.toString() +
-                "' no longer encodes: injected encoder fault");
-      continue;
-    }
-    if (Cache.cachedLength(Insn))
-      continue; // Proved encodable when the length was first memoized.
+    // encodeInstruction draws the fault-injection decision exactly once
+    // per instruction, so the draw sequence depends only on the unit.
     Bytes.clear();
-    if (MaoStatus S = encodeInstructionNoInject(Insn, 0, nullptr, Bytes)) {
+    if (MaoStatus S = encodeInstruction(Insn, 0, nullptr, Bytes))
       issue(DiagCode::VerifyEncodingFailed,
             "instruction '" + Insn.toString() +
                 "' no longer encodes: " + S.message());
-      continue;
-    }
-    Cache.noteLength(Insn, static_cast<unsigned>(Bytes.size()));
   }
 }
 

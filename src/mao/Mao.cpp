@@ -31,7 +31,6 @@
 #include "tune/Tuner.h"
 #include "uarch/ProcessorConfig.h"
 #include "uarch/Runner.h"
-#include "x86/EncodeCache.h"
 
 #include <algorithm>
 #include <chrono>
@@ -273,7 +272,7 @@ uint64_t Session::cacheKey(const CachedRunRequest &Request) {
   // added, removed, renamed, or re-kinded invalidates every key, so a
   // stale cache can never serve output an older binary produced under
   // different semantics.
-  uint64_t Hash = serve::fnv1a64("mao-artifact-v1");
+  uint64_t Hash = serve::fnv1a64("mao-artifact-v2");
   for (const PassCatalogEntry &Entry : listPasses()) {
     Hash = mixKeyPart(Hash, Entry.Name);
     Hash = mixKeyPart(Hash, Entry.Kind);
@@ -828,8 +827,6 @@ void appendKeyMs(std::string &Out, const char *Key, double V,
 
 RunReport Session::lastReport() const {
   RunReport R = I->Report;
-  const EncodeCache::Stats CS = EncodeCache::instance().stats();
-  R.EncodeCache = {CS.Hits, CS.Misses, CS.Evictions, CS.Entries};
   if (cacheIsOpen()) {
     R.HasArtifactCache = true;
     R.Artifact = cacheStats();
@@ -855,7 +852,7 @@ RunReport Session::lastReport() const {
 
 std::string Session::reportJson(const RunReport &R, bool IncludeTimings) {
   std::string Out = "{\n";
-  Out += "\"version\":1,\n";
+  Out += "\"version\":2,\n";
 
   Out += "\"input\":{\"name\":\"" + reportEscape(R.Input) + "\",";
   appendKeyU64(Out, "lines", R.Parse.Lines);
@@ -883,14 +880,9 @@ std::string Session::reportJson(const RunReport &R, bool IncludeTimings) {
                /*Comma=*/false);
   Out += "},\n";
 
-  Out += "\"caches\":{\"encode\":{";
-  appendKeyU64(Out, "hits", R.EncodeCache.Hits);
-  appendKeyU64(Out, "misses", R.EncodeCache.Misses);
-  appendKeyU64(Out, "evictions", R.EncodeCache.Evictions);
-  appendKeyU64(Out, "entries", R.EncodeCache.Entries, /*Comma=*/false);
-  Out += "}";
+  Out += "\"caches\":{";
   if (R.HasArtifactCache) {
-    Out += ",\"artifact\":{";
+    Out += "\"artifact\":{";
     appendKeyU64(Out, "hits", R.Artifact.Hits);
     appendKeyU64(Out, "misses", R.Artifact.Misses);
     appendKeyU64(Out, "stores", R.Artifact.Stores);
@@ -1016,14 +1008,6 @@ std::string Session::statsTable() const {
       Out += Buf;
     }
   }
-  std::snprintf(Buf, sizeof(Buf),
-                "  encode cache: %llu hits, %llu misses, %llu evictions, "
-                "%llu entries\n",
-                (unsigned long long)R.EncodeCache.Hits,
-                (unsigned long long)R.EncodeCache.Misses,
-                (unsigned long long)R.EncodeCache.Evictions,
-                (unsigned long long)R.EncodeCache.Entries);
-  Out += Buf;
   if (R.HasArtifactCache) {
     std::snprintf(Buf, sizeof(Buf),
                   "  artifact cache: %llu hits, %llu misses, %llu stores, "
@@ -1053,11 +1037,6 @@ void Session::setTraceLevel(int Level) {
 
 void Session::resetGlobalStats() {
   StatsRegistry::instance().reset();
-  EncodeCache::instance().clear();
-}
-
-void Session::setEncodeCacheBudget(uint64_t Bytes) {
-  EncodeCache::instance().setByteBudget(Bytes);
 }
 
 Status Session::setRelaxMode(const std::string &Mode) {

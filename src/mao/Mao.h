@@ -234,14 +234,6 @@ struct SynthSummary {
   std::string TableText; ///< The complete rendered PeepholeRules.def.
 };
 
-/// Cache totals published by the run report.
-struct CacheCounters {
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t Evictions = 0;
-  uint64_t Entries = 0;
-};
-
 /// Persistent artifact-cache totals (Session::cacheOpen; see DESIGN.md,
 /// "Service mode & persistent cache").
 struct ArtifactCounters {
@@ -307,7 +299,6 @@ struct RunReport {
   unsigned Rollbacks = 0;
   unsigned Skips = 0;
   unsigned TotalTransformations = 0;
-  CacheCounters EncodeCache; ///< Process-wide encoding-length cache.
   bool HasArtifactCache = false; ///< True once cacheOpen() succeeded.
   ArtifactCounters Artifact; ///< Valid when HasArtifactCache.
   /// Registry counters, "time."-prefixed ones excluded (sorted by name).
@@ -396,16 +387,10 @@ public:
   /// Sets the global trace level (--mao-trace-level): infrastructure
   /// tracing and every pass without an explicit trace[N] option.
   static void setTraceLevel(int Level);
-  /// Zeroes process-global observability state (metrics registry and the
-  /// encoding-length cache) so sequential runs in one process can be
-  /// compared in isolation. Does not touch per-session reports.
+  /// Zeroes process-global observability state (the metrics registry) so
+  /// sequential runs in one process can be compared in isolation. Does
+  /// not touch per-session reports.
   static void resetGlobalStats();
-  /// Caps the process-wide encoding-length cache at \p Bytes of keyed
-  /// content, evicting oldest-first beyond it (0 = unlimited, the
-  /// default — eviction order is scheduling-dependent under parallel
-  /// shards, so capping trades the cross-jobs cache-stats determinism
-  /// for bounded memory; output bytes are unaffected either way).
-  static void setEncodeCacheBudget(uint64_t Bytes);
   /// Sets the process-global branch-displacement selection mode
   /// (--mao-relax): "grow" (default) or "optimal". Affects every
   /// subsequent relaxation in the process — passes, emission, and the

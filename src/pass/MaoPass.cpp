@@ -8,7 +8,6 @@
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "support/Timeline.h"
-#include "x86/EncodeCache.h"
 #include "x86/Encoder.h"
 
 #include <algorithm>
@@ -194,8 +193,7 @@ struct UnitFootprint {
   long Bytes = 0;
 };
 
-/// Prices every instruction entry via the encode cache. Like the
-/// verifier's encoding check, misses are measured with
+/// Prices every instruction entry by encoding it. Encodes go through
 /// encodeInstructionNoInject so the fault injector's per-site draw
 /// sequence is identical whether or not stats collection is on —
 /// observability must never change what a fault-injected run does.
@@ -208,7 +206,6 @@ UnitFootprint measureFootprint(const MaoUnit &Unit) {
   // jcc rel32 is 0f 8x + disp32, jmp rel32 is e9 + disp32.
   constexpr unsigned Rel32JccLength = 6, Rel32JmpLength = 5;
   UnitFootprint F;
-  EncodeCache &Cache = EncodeCache::instance();
   std::vector<uint8_t> Bytes;
   for (const MaoEntry &E : Unit.entries()) {
     if (!E.isInstruction())
@@ -223,14 +220,9 @@ UnitFootprint measureFootprint(const MaoUnit &Unit) {
       F.Bytes += Insn.isCondJump() ? Rel32JccLength : Rel32JmpLength;
       continue;
     }
-    if (std::optional<unsigned> Cached = Cache.cachedLength(Insn)) {
-      F.Bytes += *Cached;
-      continue;
-    }
     Bytes.clear();
     MaoStatus Encoded = encodeInstructionNoInject(Insn, 0, nullptr, Bytes);
     if (Encoded.ok()) {
-      Cache.noteLength(Insn, static_cast<unsigned>(Bytes.size()));
       F.Bytes += static_cast<long>(Bytes.size());
     } else {
       // Unencodable content (mid-pipeline scratch state): keep the walk

@@ -47,24 +47,21 @@ MaoStatus encodeInstruction(const Instruction &Insn, int64_t Address,
                             const LabelAddressMap *Labels,
                             std::vector<uint8_t> &Out);
 
-/// Like encodeInstruction but without the fault-injection draw. For
-/// callers that draw the injection decision themselves (the verifier's
-/// cache-assisted encoding check) so the per-site draw sequence stays
-/// one-per-instruction regardless of cache state.
+/// Like encodeInstruction but without the fault-injection draw, for
+/// observers that must not shift the injector's per-site draw sequence
+/// (the per-pass footprint probe measures with or without stats
+/// collection, and a fault-injected run must not depend on which).
 MaoStatus encodeInstructionNoInject(const Instruction &Insn, int64_t Address,
                                     const LabelAddressMap *Labels,
                                     std::vector<uint8_t> &Out);
 
-/// Returns the encoded length in bytes (branches honour BranchSize).
-/// Asserts that the instruction is encodable; use encodeInstruction for
-/// fallible validation of parsed input. Memoized through EncodeCache —
-/// lengths are position-independent, so repeated relaxation rounds hit
-/// the cache instead of re-encoding.
+/// Returns the encoded length in bytes (branches honour BranchSize;
+/// opaque instructions count OpaqueInstructionSizeEstimate). Runs the
+/// encoder on every call; nothing is memoized, because relaxation
+/// re-measures only when the layout changed (DESIGN.md, "Instruction
+/// lengths are not cached"). Asserts that the instruction is encodable;
+/// use encodeInstruction for fallible validation of parsed input.
 unsigned instructionLength(const Instruction &Insn);
-
-/// The uncached measurement instructionLength is built on; EncodeCache
-/// calls this on a miss.
-unsigned instructionLengthUncached(const Instruction &Insn);
 
 } // namespace mao
 

@@ -14,6 +14,7 @@
 #include "asm/AsmEmitter.h"
 #include "asm/Parser.h"
 #include "check/Lint.h"
+#include "mao/Mao.h"
 #include "pass/MaoPass.h"
 #include "passes/PeepholeEngine.h"
 #include "serve/ArtifactCache.h"
@@ -125,4 +126,18 @@ TEST(HashPins, NopinOutputAtFixedSeed) {
   ASSERT_EQ(R.Counts.size(), 1u);
   EXPECT_GT(R.Counts[0].second, 0u) << "the pin must cover inserted NOPs";
   EXPECT_EQ(serve::fnv1a64(emitAssembly(Unit)), 0x7c2c5c80932c4861ULL);
+}
+
+TEST(HashPins, ArtifactCacheKeyOfFixedRequest) {
+  // Also covers the schema tag ("mao-artifact-v2") and the registered pass
+  // catalogue, both folded into every key.
+  mao::api::CachedRunRequest Request;
+  Request.Source = "\t.text\n\t.type f, @function\nf:\n"
+                   "\taddl $2, %eax\n\ttestl %eax, %eax\n\tret\n"
+                   "\t.size f, .-f\n";
+  ASSERT_TRUE(
+      mao::api::Session::parsePipelineSpec("zee,redtest", Request.Pipeline)
+          .Ok);
+  Request.Options.OnError = "rollback";
+  EXPECT_EQ(mao::api::Session::cacheKey(Request), 0xf5e968cec0771acdULL);
 }

@@ -3,9 +3,8 @@
 // Covers the metrics registry (exact concurrent accounting, deterministic
 // snapshots), the single-buffer locked trace sink (no torn lines under
 // concurrency), the global trace level, the Chrome trace-event timeline,
-// the exact EncodeCache accounting, and the run-report determinism
-// contract: non-timing report sections are byte-identical for every
-// --mao-jobs value.
+// and the run-report determinism contract: non-timing report sections are
+// byte-identical for every --mao-jobs value.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,13 +13,11 @@
 #include "support/Stats.h"
 #include "support/Timeline.h"
 #include "support/Trace.h"
-#include "x86/EncodeCache.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -212,101 +209,6 @@ TEST(Timeline, SpansAreNoOpsWhenInactive) {
   // Nothing to assert beyond "did not crash": no timeline exists.
 }
 
-TEST(EncodeCache, ExactAccountingUnderConcurrency) {
-  const char *const Asm = R"(	.text
-	.type f, @function
-f:
-	movq %rax, %rbx
-	addq $1, %rbx
-	testq %rbx, %rbx
-	xorl %ecx, %ecx
-	subl $1, %ecx
-	ret
-	.size f, .-f
-)";
-  auto UnitOr = parseAssembly(Asm);
-  ASSERT_TRUE(UnitOr.ok());
-  std::vector<Instruction> Insns;
-  for (const MaoEntry &E : UnitOr->entries())
-    if (E.isInstruction() && !E.instruction().isOpaque())
-      Insns.push_back(E.instruction());
-  ASSERT_GE(Insns.size(), 5u);
-
-  EncodeCache &Cache = EncodeCache::instance();
-  Cache.clear();
-  uint64_t Hits0 = Cache.stats().Hits, Misses0 = Cache.stats().Misses;
-
-  constexpr unsigned PerThread = 500;
-  std::vector<std::thread> Workers;
-  for (unsigned T = 0; T < kThreads; ++T)
-    Workers.emplace_back([&Insns] {
-      for (unsigned I = 0; I < PerThread; ++I)
-        for (const Instruction &Insn : Insns)
-          EncodeCache::instance().length(Insn);
-    });
-  for (std::thread &W : Workers)
-    W.join();
-
-  std::set<std::string> UniqueKeys;
-  for (const Instruction &Insn : Insns)
-    UniqueKeys.insert(EncodeCache::makeKey(Insn));
-  EncodeCache::Stats S = Cache.stats();
-  uint64_t Calls = uint64_t(kThreads) * PerThread * Insns.size();
-  // Exact accounting: hits + misses equals the number of length() calls
-  // and misses equals the number of entries inserted, regardless of how
-  // the threads interleaved.
-  EXPECT_EQ((S.Hits - Hits0) + (S.Misses - Misses0), Calls);
-  EXPECT_EQ(S.Misses - Misses0, UniqueKeys.size());
-  EXPECT_EQ(S.Entries, UniqueKeys.size());
-  Cache.clear();
-}
-
-TEST(EncodeCache, ByteBudgetBoundsResidencyWithoutChangingLengths) {
-  const char *const Asm = R"(	.text
-	.type f, @function
-f:
-	movq %rax, %rbx
-	addq $1, %rbx
-	testq %rbx, %rbx
-	xorl %ecx, %ecx
-	subl $1, %ecx
-	movl $7, %edx
-	cmpl %edx, %ecx
-	ret
-	.size f, .-f
-)";
-  auto UnitOr = parseAssembly(Asm);
-  ASSERT_TRUE(UnitOr.ok());
-  std::vector<Instruction> Insns;
-  for (const MaoEntry &E : UnitOr->entries())
-    if (E.isInstruction() && !E.instruction().isOpaque())
-      Insns.push_back(E.instruction());
-  ASSERT_GE(Insns.size(), 7u);
-
-  EncodeCache &Cache = EncodeCache::instance();
-  Cache.clear();
-  // Uncapped reference lengths first.
-  Cache.setByteBudget(0);
-  std::vector<unsigned> Reference;
-  for (const Instruction &Insn : Insns)
-    Reference.push_back(Cache.length(Insn));
-  Cache.clear();
-
-  // A 1-byte budget forces every shard down to its single newest entry:
-  // residency is bounded, and the lengths coming back are still exact.
-  Cache.setByteBudget(1);
-  for (unsigned Round = 0; Round < 3; ++Round)
-    for (size_t I = 0; I < Insns.size(); ++I)
-      EXPECT_EQ(Cache.length(Insns[I]), Reference[I]);
-  EncodeCache::Stats S = Cache.stats();
-  EXPECT_GT(S.Evictions, 0u);
-  EXPECT_LE(S.Entries, 16u); // One survivor per shard at most.
-
-  // Lifting the cap restores unlimited growth for later tests.
-  Cache.setByteBudget(0);
-  Cache.clear();
-}
-
 const char *kKernel =
     "\t.text\n\t.globl bench_main\n\t.type bench_main, @function\n"
     "bench_main:\n"
@@ -384,9 +286,12 @@ TEST(Report, ContentsReflectTheRun) {
     EXPECT_NE(KV.first.rfind("time.", 0), 0u) << KV.first;
 
   std::string Json = Session.lastReportJson();
-  EXPECT_NE(Json.find("\"version\""), std::string::npos);
+  EXPECT_NE(Json.find("\"version\":2,"), std::string::npos);
   EXPECT_NE(Json.find("\"pipeline\""), std::string::npos);
-  EXPECT_NE(Json.find("\"caches\""), std::string::npos);
+  // No artifact cache is open, so the caches section is present and
+  // empty; lengths are not cached at all.
+  EXPECT_NE(Json.find("\"caches\":{}"), std::string::npos);
+  EXPECT_EQ(Json.find("\"encode\""), std::string::npos);
   EXPECT_NE(Json.find("\"timings\""), std::string::npos);
   EXPECT_EQ(Session.lastReportJson(false).find("\"timings\""),
             std::string::npos);

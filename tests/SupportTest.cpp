@@ -66,6 +66,17 @@ TEST(Options, CommandLineSplitsKinds) {
   EXPECT_EQ(CmdOr->Inputs[0], "input.s");
 }
 
+TEST(Options, RemovedEncodeCacheBudgetFlagIsUnknown) {
+  // The encode-length cache and its budget flag are gone; the driver
+  // rejects the flag as a usage error like any other unknown option.
+  auto CmdOr = parseCommandLine({"--mao-encode-cache-budget=1", "in.s"});
+  ASSERT_FALSE(CmdOr.ok());
+  EXPECT_EQ(
+      CmdOr.message().rfind("unknown option '--mao-encode-cache-budget=1'", 0),
+      0u)
+      << CmdOr.message();
+}
+
 TEST(Options, DefaultsApplyWhenUnset) {
   MaoOptionMap Map;
   EXPECT_EQ(Map.getInt("trace", 7), 7);
