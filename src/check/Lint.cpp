@@ -6,6 +6,7 @@
 #include "analysis/CallGraph.h"
 #include "analysis/Dataflow.h"
 #include "analysis/Summaries.h"
+#include "support/Hash.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 
@@ -688,7 +689,8 @@ public:
     StatsRegistry::instance()
         .counter(std::string("lint.findings.") + ruleNameFor(F.Code))
         .add();
-    Digest = (Digest ^ FP) * 1099511628211ull;
+    // One FNV-1a step over the whole 64-bit fingerprint, not its bytes.
+    Digest = (Digest ^ FP) * FnvPrime;
     SourceLoc Loc{Options.FileName, 0};
     if (F.Severity == DiagSeverity::Note) {
       ++Result.Notes;
@@ -734,7 +736,7 @@ private:
   LintResult &Result;
   const std::unordered_set<uint64_t> &Baseline;
   std::vector<Entry> All;
-  uint64_t Digest = 1469598103934665603ull;
+  uint64_t Digest = DiagFingerprintSeed;
 };
 
 } // namespace

@@ -23,6 +23,7 @@
 #include "analysis/Relaxer.h"
 #include "pass/MaoPass.h"
 #include "passes/PassUtil.h"
+#include "support/Hash.h"
 #include "support/Random.h"
 
 using namespace mao;
@@ -82,10 +83,7 @@ public:
 
     // Derive a per-function stream so results do not depend on function
     // processing order.
-    uint64_t FnSalt = 0xcbf29ce484222325ULL;
-    for (char C : function().name())
-      FnSalt = (FnSalt ^ static_cast<unsigned char>(C)) * 0x100000001b3ULL;
-    RandomSource Rng(Seed ^ FnSalt);
+    RandomSource Rng(Seed ^ fnv1a64(function().name()));
 
     for (EntryIter Site : Sites) {
       if (!Rng.nextChance(static_cast<uint64_t>(Density), 100))

@@ -13,6 +13,7 @@
 #include "passes/PeepholeEngine.h"
 
 #include "passes/PassUtil.h"
+#include "support/Hash.h"
 #include "support/Stats.h"
 
 #include <cctype>
@@ -705,14 +706,9 @@ MaoStatus loadSynthPeepholeRules(const std::string &DefText) {
 void resetPeepholeRules() { mutableActiveRules() = builtinPeepholeRules(); }
 
 uint64_t peepholeRuleDigest() {
-  uint64_t Hash = 0xcbf29ce484222325ULL;
+  uint64_t Hash = FnvOffsetBasis;
   auto Mix = [&Hash](std::string_view Text) {
-    for (const char C : Text) {
-      Hash ^= static_cast<unsigned char>(C);
-      Hash *= 0x100000001b3ULL;
-    }
-    Hash ^= 0xff; // Field separator.
-    Hash *= 0x100000001b3ULL;
+    Hash = fnv1a64("\xff", fnv1a64(Text, Hash)); // 0xff: field separator.
   };
   for (const PeepholeRule &R : activePeepholeRules()) {
     Mix(R.Name);

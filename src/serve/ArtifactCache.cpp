@@ -18,13 +18,6 @@ using namespace mao::serve;
 
 namespace fs = std::filesystem;
 
-uint64_t mao::serve::fnv1a64(std::string_view Data, uint64_t Hash) {
-  constexpr uint64_t Prime = 0x100000001b3ULL;
-  for (unsigned char C : Data)
-    Hash = (Hash ^ C) * Prime;
-  return Hash;
-}
-
 namespace {
 
 constexpr char EntryMagic[4] = {'M', 'A', 'O', 'A'};

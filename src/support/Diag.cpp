@@ -2,6 +2,7 @@
 
 #include "support/Diag.h"
 
+#include "support/Hash.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -84,18 +85,10 @@ const char *mao::diagCodeName(DiagCode Code) {
 }
 
 uint64_t mao::diagFingerprint(DiagCode Code, const std::string &Message) {
-  uint64_t H = 1469598103934665603ull; // FNV-1a offset basis
-  auto Mix = [&H](const char *Data, size_t Len) {
-    for (size_t I = 0; I < Len; ++I) {
-      H ^= static_cast<unsigned char>(Data[I]);
-      H *= 1099511628211ull;
-    }
-  };
-  const char *Name = diagCodeName(Code);
-  Mix(Name, std::char_traits<char>::length(Name));
-  Mix("\0", 1);
-  Mix(Message.data(), Message.size());
-  return H;
+  // The code name and the message, separated by one NUL byte.
+  uint64_t H = fnv1a64(diagCodeName(Code), DiagFingerprintSeed);
+  H = fnv1a64(std::string_view("\0", 1), H);
+  return fnv1a64(Message, H);
 }
 
 std::string mao::diagFingerprintHex(uint64_t Fingerprint) {

@@ -77,10 +77,18 @@ enum class DiagCode : uint16_t {
 const char *diagCodeName(DiagCode Code);
 const char *diagSeverityName(DiagSeverity Severity);
 
-/// Stable 64-bit fingerprint of a finding, FNV-1a over the code name and
-/// message text. Location-free on purpose: the same finding keeps its
-/// fingerprint when unrelated lines move. Used by lint baseline files and
-/// emitted as SARIF partialFingerprints ("maoLint/v1").
+/// Starting value of diagFingerprint and of the lint findings digest in
+/// place of FNV-1a's offset basis. It is that basis with its last decimal
+/// digit dropped (1469598103934665603, not 14695981039346656037); lint
+/// baselines and SARIF files on disk hold fingerprints computed from it,
+/// so it stays.
+inline constexpr uint64_t DiagFingerprintSeed = 1469598103934665603ULL;
+
+/// Stable 64-bit fingerprint of a finding, FNV-1a (from
+/// DiagFingerprintSeed) over the code name and message text. Location-free
+/// on purpose: the same finding keeps its fingerprint when unrelated lines
+/// move. Used by lint baseline files and emitted as SARIF
+/// partialFingerprints ("maoLint/v1").
 uint64_t diagFingerprint(DiagCode Code, const std::string &Message);
 
 /// Renders a fingerprint as 16 lowercase hex digits.

@@ -3,32 +3,29 @@
 #include "tune/ScoreCache.h"
 
 #include "passes/PeepholeEngine.h"
+#include "support/Hash.h"
 
 using namespace mao;
 
 namespace {
 
-constexpr uint64_t FnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t FnvPrime = 0x100000001b3ULL;
-
+/// FNV-1a over the object representation of \p Data.
 uint64_t fnvMix(uint64_t Hash, const void *Data, size_t Size) {
-  const unsigned char *Bytes = static_cast<const unsigned char *>(Data);
-  for (size_t I = 0; I < Size; ++I)
-    Hash = (Hash ^ Bytes[I]) * FnvPrime;
-  return Hash;
+  return fnv1a64(std::string_view(static_cast<const char *>(Data), Size),
+                 Hash);
 }
 
 } // namespace
 
 uint64_t ScoreCache::keyFor(const SectionBytes &Bytes) const {
-  uint64_t Hash = fnvMix(FnvOffset, ConfigName.data(), ConfigName.size());
+  uint64_t Hash = fnv1a64(ConfigName);
   // A score is a function of the bytes AND the rule table that produced
   // them: fold the active peephole-rule digest in so a table swap
   // (--synth-rules) can never serve a stale cycle count.
   const uint64_t RuleDigest = peepholeRuleDigest();
   Hash = fnvMix(Hash, &RuleDigest, sizeof(RuleDigest));
   for (const auto &[Name, Data] : Bytes) {
-    Hash = fnvMix(Hash, Name.data(), Name.size());
+    Hash = fnv1a64(Name, Hash);
     const uint64_t Size = Data.size();
     Hash = fnvMix(Hash, &Size, sizeof(Size));
     Hash = fnvMix(Hash, Data.data(), Data.size());
