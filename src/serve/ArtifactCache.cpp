@@ -372,11 +372,16 @@ void ArtifactCache::quarantine(const std::string &Path) {
 }
 
 unsigned ArtifactCache::sweepStaleTmp() {
+  // A temp file carrying this process's pid belongs to a store in flight
+  // on a sibling instance (a maod connection): a writer in a live process
+  // cannot have crashed, so only other processes' leftovers are stale.
+  const std::string OwnTag = ".tmp." + std::to_string(::getpid()) + ".";
   unsigned Removed = 0;
   std::error_code Ec;
   for (const auto &DirEntry : fs::directory_iterator(Root, Ec)) {
     const std::string Name = DirEntry.path().filename().string();
-    if (Name.find(".tmp.") != std::string::npos) {
+    if (Name.find(".tmp.") != std::string::npos &&
+        Name.find(OwnTag) == std::string::npos) {
       std::error_code RmEc;
       if (fs::remove(DirEntry.path(), RmEc))
         ++Removed;

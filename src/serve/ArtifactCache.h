@@ -15,7 +15,8 @@
 ///     are fsync'd, and become visible only through an atomic rename(2);
 ///     the directory is fsync'd after the rename so the entry survives a
 ///     host crash too. A writer killed mid-write leaves only a stale
-///     `*.tmp.*` file, which open() and fsck() sweep.
+///     `*.tmp.<pid>.<seq>` file, which open() and fsck() sweep unless the
+///     pid is the calling process's own.
 ///   * Every entry carries a magic/version header, its own key, and an
 ///     FNV-1a checksum trailer over all preceding bytes. lookup() verifies
 ///     all of them; a torn, truncated, or bit-flipped entry is moved into
@@ -143,7 +144,9 @@ public:
 private:
   /// Moves the (corrupt) entry at \p Path into quarantine/ and counts it.
   void quarantine(const std::string &Path);
-  /// Removes `*.tmp.*` files under Root; returns how many were removed.
+  /// Removes `*.tmp.*` files under Root, except those named with this
+  /// process's pid (stores in flight on sibling instances); returns how
+  /// many were removed.
   unsigned sweepStaleTmp();
   /// Re-counts `*.mao` entries into the Entries stat.
   void recountEntries();

@@ -295,6 +295,22 @@ TEST(ArtifactCache, OpenSweepsStaleTempFiles) {
   EXPECT_FALSE(fileExists(Tmp.path() + "/0000000000000042.mao.tmp.123.7"));
 }
 
+TEST(ArtifactCache, OpenKeepsThisProcessesInFlightTempFiles) {
+  // In maod every connection opens its own cache on the shared directory;
+  // a second open() must not delete a sibling's in-flight temp file, or
+  // that store's rename fails.
+  TempDir Tmp;
+  ArtifactCache First;
+  ASSERT_FALSE(First.open(Tmp.path()));
+  const std::string InFlight = Tmp.path() + "/0000000000000042.mao.tmp." +
+                               std::to_string(::getpid()) + ".0";
+  writeFile(InFlight, "partial write");
+  ArtifactCache Second;
+  ASSERT_FALSE(Second.open(Tmp.path()));
+  EXPECT_TRUE(fileExists(InFlight));
+  EXPECT_EQ(Second.stats().StaleTmpRemoved, 0u);
+}
+
 TEST(ArtifactCache, FsckQuarantinesCorruptEntries) {
   TempDir Tmp;
   ArtifactCache Cache;
