@@ -4,10 +4,9 @@
 // cache entry checksums and keys, the wire protocol checksum, diagnostic
 // fingerprints (lint baselines, SARIF), the lint findings digest, the
 // peephole rule digest, tuner score-cache keys and NOPIN's per-function
-// random stream. The values below were recorded from the hand-rolled copies
-// each of those sites used to carry; a refactor of the hashing code must
-// leave every one of them unchanged, or baselines and caches written by an
-// older binary stop matching.
+// random stream. Several of them are stored on disk, so a change to the
+// hashing code must leave every value below unchanged, or baselines and
+// caches written by an older binary stop matching.
 //
 //===----------------------------------------------------------------------===//
 

@@ -289,7 +289,7 @@ TEST(Report, ContentsReflectTheRun) {
   EXPECT_NE(Json.find("\"version\":2,"), std::string::npos);
   EXPECT_NE(Json.find("\"pipeline\""), std::string::npos);
   // No artifact cache is open, so the caches section is present and
-  // empty; lengths are not cached at all.
+  // empty.
   EXPECT_NE(Json.find("\"caches\":{}"), std::string::npos);
   EXPECT_EQ(Json.find("\"encode\""), std::string::npos);
   EXPECT_NE(Json.find("\"timings\""), std::string::npos);
