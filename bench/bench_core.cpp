@@ -15,6 +15,9 @@
 //    identical (jobs_byte_identical is 1 when it holds; the tier-1
 //    pipeline tests enforce the same invariant, this records it in the
 //    trajectory).
+//  - simulator throughput: dynamic instructions per second through
+//    measureFunction (emulator plus uarch model, core2) on the six SPEC
+//    profiles the tuner workload scores, generator seed 7, best of 5.
 //
 //===----------------------------------------------------------------------===//
 
@@ -217,6 +220,45 @@ int main(int argc, char **argv) {
       Report.set("relax_optimal_shrunk_branches", Last.ShrunkBranches);
   }
   setRelaxMode(SavedMode);
+
+  // --- Simulator throughput: the tuner's scoring layer. -----------------
+  {
+    const char *const Profiles[] = {"164.gzip",     "175.vpr",
+                                    "186.crafty",   "252.eon",
+                                    "454.calculix", "464.h264ref"};
+    std::vector<MaoUnit> Units;
+    for (const char *Name : Profiles) {
+      WorkloadSpec Profile = *findBenchmarkProfile(Name);
+      Profile.Seed = 7;
+      auto UnitOr = parseAssembly(generateWorkloadAssembly(Profile));
+      if (!UnitOr.ok()) {
+        std::fprintf(stderr, "bench: %s parse failed\n", Name);
+        return 1;
+      }
+      Units.push_back(std::move(*UnitOr));
+    }
+    MeasureOptions Options;
+    Options.Config = ProcessorConfig::core2();
+    uint64_t DynInsts = 0;
+    const double Seconds = bestSeconds(5, [&] {
+      DynInsts = 0;
+      for (MaoUnit &Unit : Units) {
+        auto R = measureFunction(Unit, "bench_main", Options);
+        if (!R.ok()) {
+          std::fprintf(stderr, "bench: measure failed: %s\n",
+                       R.message().c_str());
+          std::exit(1);
+        }
+        DynInsts += R->Emulation.InstructionsExecuted;
+      }
+    });
+    const double InstsPerSec = Seconds > 0 ? DynInsts / Seconds : 0.0;
+    std::printf("uarch (core2):    %llu dynamic insts in %.1f ms -> %.0f "
+                "insts/s (%.1f ns/inst)\n",
+                (unsigned long long)DynInsts, Seconds * 1e3, InstsPerSec,
+                DynInsts ? Seconds * 1e9 / DynInsts : 0.0);
+    Report.set("uarch_dyn_insts_per_s", InstsPerSec);
+  }
 
   // --- Cross-jobs byte-identity. ----------------------------------------
   std::string Reference;

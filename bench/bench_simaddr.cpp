@@ -48,7 +48,8 @@ double factorForBenchmark(const std::string &Name, unsigned SamplePeriod) {
   Emulator Em(Unit);
   Emulator::Config Cfg;
   Cfg.MaxSteps = 20'000'000;
-  Cfg.OnStep = [&](const MaoEntry &Entry, const MachineState &State) {
+  Cfg.OnStep = [&](const DecodedInsn &Step, const MachineState &State) {
+    const MaoEntry &Entry = *Step.Entry;
     const Instruction &Insn = Entry.instruction();
     if (!Insn.memOperand() || Insn.isOpaque())
       return true;

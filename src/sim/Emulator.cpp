@@ -3,7 +3,6 @@
 #include "sim/Emulator.h"
 
 #include <bit>
-#include <optional>
 #include <cassert>
 #include <cstring>
 
@@ -11,20 +10,11 @@ using namespace mao;
 
 namespace {
 
-uint64_t widthMask(Width W) {
-  switch (W) {
-  case Width::B:
-    return 0xffULL;
-  case Width::W:
-    return 0xffffULL;
-  case Width::L:
-    return 0xffffffffULL;
-  case Width::Q:
-  case Width::None:
-    return ~0ULL;
-  }
-  return ~0ULL;
-}
+/// Value mask of each Width, indexed by its enumerator (None is 64-bit).
+constexpr uint64_t WidthMasks[] = {~0ULL, 0xffULL, 0xffffULL, 0xffffffffULL,
+                                   ~0ULL};
+
+uint64_t widthMask(Width W) { return WidthMasks[static_cast<unsigned>(W)]; }
 
 int64_t signExtend(uint64_t Value, Width W) {
   switch (W) {
@@ -80,26 +70,160 @@ void MachineState::setGpr(Reg R, uint64_t Value) {
   }
 }
 
-Emulator::Emulator(MaoUnit &Unit) : Unit(Unit) {
-  for (EntryIter It = Unit.entries().begin(), E = Unit.entries().end();
-       It != E; ++It)
-    if (It->isLabel())
-      Labels.emplace(It->labelName(), It);
+DecodedReg DecodedReg::of(Reg R) {
+  DecodedReg D;
+  if (!regIsGpr(R))
+    return D;
+  const bool High = regIsHighByte(R);
+  const Width W = High ? Width::B : regWidth(R);
+  D.Code = static_cast<uint8_t>(gprSuperIndex(R) | (High ? 0x10 : 0) |
+                                (static_cast<unsigned>(W) << 5));
+  return D;
+}
+
+static_assert(sizeof(DecodedInsn) == 64, "keep decoded records compact");
+
+namespace {
+
+int8_t gprSlot(Reg R) {
+  return R == Reg::None ? -1 : static_cast<int8_t>(gprSuperIndex(R));
+}
+
+DecodedInsn decode(const MaoEntry &Entry) {
+  const Instruction &Insn = Entry.instruction();
+  const OpcodeInfo &Info = Insn.info();
+  DecodedInsn D;
+  D.Entry = &Entry;
+  D.Address = Entry.Address;
+  assert(Entry.Size <= 0xff && "instructions encode in at most 15 bytes");
+  D.Size = static_cast<uint8_t>(Entry.Size);
+  D.Fx = Insn.effects();
+  D.Latency = Info.Latency;
+  D.Uops = Info.Uops;
+  D.Ports = Info.Ports;
+  D.Kind = Info.Kind;
+  if (Insn.isCondJump())
+    D.Bits |= DecodedInsn::CondJump;
+  if (Insn.isUncondJump())
+    D.Bits |= DecodedInsn::UncondJump;
+  if (Insn.isCall())
+    D.Bits |= DecodedInsn::Call;
+  if (Insn.isReturn())
+    D.Bits |= DecodedInsn::Return;
+  if (Insn.hasIndirectTarget())
+    D.Bits |= DecodedInsn::Indirect;
+  if (Info.Kind == EncKind::Prefetch)
+    D.Bits |= DecodedInsn::Prefetch;
+  for (unsigned I = 0; I < Insn.Ops.size() && I < D.Regs.size(); ++I)
+    if (Insn.Ops[I].isReg())
+      D.Regs[I] = DecodedReg::of(Insn.Ops[I].R);
+  if (const Operand *Mem = Insn.memOperand()) {
+    const MemRef &M = Mem->Mem;
+    D.MemOp = static_cast<int8_t>(Mem - Insn.Ops.begin());
+    D.Mem.Disp = M.Disp;
+    D.Mem.Scale = M.Scale;
+    auto IsAddressReg = [](Reg R) { return R == Reg::None || regIsGpr(R); };
+    D.Mem.Resolvable = !M.hasSym() && !M.isRipRelative() &&
+                       IsAddressReg(M.Base) && IsAddressReg(M.Index);
+    if (D.Mem.Resolvable) {
+      D.Mem.Base = gprSlot(M.Base);
+      D.Mem.Index = gprSlot(M.Index);
+    }
+  }
+  return D;
+}
+
+} // namespace
+
+Emulator::Emulator(MaoUnit &Unit) {
+  // One walk decodes every instruction and binds each label to the index
+  // of the instruction that follows it; duplicate labels keep the first
+  // definition. Branch and call targets resolve once all labels are known.
+  for (const MaoEntry &Entry : Unit.entries()) {
+    if (Entry.isLabel())
+      Labels.emplace(Entry.labelName(), static_cast<uint32_t>(Insns.size()));
+    else if (Entry.isInstruction())
+      Insns.push_back(decode(Entry));
+  }
+  for (DecodedInsn &D : Insns) {
+    if (!D.is(DecodedInsn::CondJump | DecodedInsn::UncondJump |
+              DecodedInsn::Call) ||
+        D.is(DecodedInsn::Indirect))
+      continue;
+    auto It = Labels.find(D.insn().Ops[0].Sym);
+    if (It != Labels.end())
+      D.Target = It->second;
+  }
+}
+
+std::optional<uint32_t> Emulator::labelIndex(const std::string &Name) const {
+  auto It = Labels.find(Name);
+  if (It == Labels.end())
+    return std::nullopt;
+  return It->second;
+}
+
+const uint8_t *Emulator::findPage(uint64_t PageNo) const {
+  if (PageNo == LastPageNo)
+    return LastPage;
+  auto It = Pages.find(PageNo);
+  if (It == Pages.end())
+    return nullptr;
+  LastPageNo = PageNo;
+  LastPage = It->second->data();
+  return LastPage;
+}
+
+uint8_t *Emulator::pageFor(uint64_t PageNo) {
+  if (PageNo != LastPageNo) {
+    std::unique_ptr<Page> &P = Pages[PageNo];
+    if (!P)
+      P = std::make_unique<Page>(); // Zero-filled.
+    LastPageNo = PageNo;
+    LastPage = P->data();
+  }
+  return LastPage;
 }
 
 void Emulator::store(uint64_t Address, uint64_t Value, unsigned Bytes) {
-  for (unsigned I = 0; I < Bytes; ++I)
-    Memory[Address + I] = static_cast<uint8_t>((Value >> (8 * I)) & 0xff);
+  assert(Bytes <= 8 && "stores are at most 8 bytes");
+  const uint64_t Offset = Address & (PageBytes - 1);
+  if (Offset + Bytes <= PageBytes) {
+    uint8_t *P = pageFor(Address >> PageBits) + Offset;
+    for (unsigned I = 0; I < Bytes; ++I)
+      P[I] = static_cast<uint8_t>(Value >> (8 * I));
+    return;
+  }
+  for (unsigned I = 0; I < Bytes; ++I) // Straddles a page boundary.
+    pageFor((Address + I) >> PageBits)[(Address + I) & (PageBytes - 1)] =
+        static_cast<uint8_t>(Value >> (8 * I));
 }
 
 uint64_t Emulator::load(uint64_t Address, unsigned Bytes) const {
+  assert(Bytes <= 8 && "loads are at most 8 bytes");
+  const uint64_t Offset = Address & (PageBytes - 1);
   uint64_t Value = 0;
-  for (unsigned I = 0; I < Bytes; ++I) {
-    auto It = Memory.find(Address + I);
-    uint64_t Byte = It == Memory.end() ? 0 : It->second;
-    Value |= Byte << (8 * I);
+  if (Offset + Bytes <= PageBytes) {
+    const uint8_t *P = findPage(Address >> PageBits);
+    if (!P)
+      return 0;
+    for (unsigned I = 0; I < Bytes; ++I)
+      Value |= static_cast<uint64_t>(P[Offset + I]) << (8 * I);
+    return Value;
+  }
+  for (unsigned I = 0; I < Bytes; ++I) { // Straddles a page boundary.
+    const uint8_t *P = findPage((Address + I) >> PageBits);
+    if (P)
+      Value |= static_cast<uint64_t>(P[(Address + I) & (PageBytes - 1)])
+               << (8 * I);
   }
   return Value;
+}
+
+void Emulator::resetMemory() {
+  Pages.clear();
+  LastPageNo = ~0ULL;
+  LastPage = nullptr;
 }
 
 namespace {
@@ -107,15 +231,28 @@ namespace {
 /// One in-flight execution: wraps state + memory access helpers.
 class Interp {
 public:
-  Interp(Emulator &Em, MaoUnit &Unit,
-         const std::unordered_map<std::string, EntryIter> &Labels,
-         MachineState State)
-      : Em(Em), Unit(Unit), Labels(Labels), S(std::move(State)) {}
+  Interp(Emulator &Em, MachineState State) : Em(Em), S(std::move(State)) {}
 
   EmulationResult run(const std::string &Name, const Emulator::Config &Cfg);
 
 private:
   // --- Operand access -------------------------------------------------------
+  uint64_t readReg(DecodedReg R) const {
+    return (S.Gpr[R.super()] >> R.shift()) & widthMask(R.width());
+  }
+
+  /// MachineState::setGpr on a pre-split register: 32-bit views
+  /// zero-extend, narrower views merge.
+  void writeReg(DecodedReg R, uint64_t Value) {
+    uint64_t &Full = S.Gpr[R.super()];
+    if (R.width() == Width::L) {
+      Full = Value & 0xffffffffULL;
+      return;
+    }
+    const uint64_t Mask = widthMask(R.width()) << R.shift();
+    Full = (Full & ~Mask) | ((Value << R.shift()) & Mask);
+  }
+
   std::optional<uint64_t> memAddress(const MemRef &M) {
     if (M.hasSym() || M.isRipRelative())
       return std::nullopt; // No data-symbol layout in the emulator.
@@ -127,7 +264,19 @@ private:
     return A;
   }
 
-  std::optional<uint64_t> readOperand(const Operand &Op, Width W) {
+  /// Address of operand \p I, a memory operand: the decoded recipe for the
+  /// first one (the modelled subset never has a second).
+  std::optional<uint64_t> memAddress(const DecodedInsn &D, unsigned I) {
+    if (static_cast<int>(I) == D.MemOp)
+      return D.Mem.address(S);
+    return memAddress(D.insn().Ops[I].Mem);
+  }
+
+  std::optional<uint64_t> readOperand(const DecodedInsn &D, unsigned I,
+                                      Width W) {
+    if (I < D.Regs.size() && D.Regs[I].isGpr())
+      return readReg(D.Regs[I]);
+    const Operand &Op = D.insn().Ops[I];
     switch (Op.Kind) {
     case OperandKind::Immediate:
       if (!Op.Sym.empty())
@@ -136,7 +285,7 @@ private:
     case OperandKind::Register:
       return S.gprValue(Op.R);
     case OperandKind::Memory: {
-      auto A = memAddress(Op.Mem);
+      auto A = memAddress(D, I);
       if (!A)
         return std::nullopt;
       return Em.load(*A, widthBytes(W));
@@ -146,13 +295,19 @@ private:
     }
   }
 
-  bool writeOperand(const Operand &Op, Width W, uint64_t Value) {
+  bool writeOperand(const DecodedInsn &D, unsigned I, Width W,
+                    uint64_t Value) {
+    if (I < D.Regs.size() && D.Regs[I].isGpr()) {
+      writeReg(D.Regs[I], Value & widthMask(W));
+      return true;
+    }
+    const Operand &Op = D.insn().Ops[I];
     if (Op.isReg()) {
       S.setGpr(Op.R, Value & widthMask(W));
       return true;
     }
     if (Op.isMem()) {
-      auto A = memAddress(Op.Mem);
+      auto A = memAddress(D, I);
       if (!A)
         return false;
       Em.store(*A, Value, widthBytes(W));
@@ -241,30 +396,34 @@ private:
   }
 
   // --- Control transfer -----------------------------------------------------
-  enum class Flow { Next, Jump, Return, Stop };
+  enum class Flow { Next, Jump, Stop };
 
-  /// Executes one instruction. On Flow::Jump, JumpTarget holds the label.
-  Flow exec(const Instruction &Insn, std::string &Error);
+  /// Executes one instruction other than call and ret. On Flow::Jump the
+  /// branch was taken (to D.Target); on Flow::Stop, Error says why.
+  Flow exec(const DecodedInsn &D);
+
+  uint64_t &rsp() {
+    return S.Gpr[static_cast<unsigned>(Reg::RSP) -
+                 static_cast<unsigned>(Reg::RAX)];
+  }
 
   Emulator &Em;
-  MaoUnit &Unit;
-  const std::unordered_map<std::string, EntryIter> &Labels;
   MachineState S;
-  std::string JumpTarget;
-  std::vector<EntryIter> CallStack;
-  EntryIter ReturnTo; // Valid when exec sees `ret` with a nonempty stack.
+  std::string Error;
+  std::vector<uint32_t> CallStack; ///< Return indices.
 };
 
-Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
+Interp::Flow Interp::exec(const DecodedInsn &D) {
+  const Instruction &Insn = D.insn();
   const Width W = Insn.W;
-  switch (Insn.info().Kind) {
+  switch (D.Kind) {
   case EncKind::Nop:
   case EncKind::Prefetch:
     return Flow::Next;
 
   case EncKind::Mov: {
-    auto V = readOperand(Insn.Ops[0], W);
-    if (!V || !writeOperand(Insn.Ops[1], W, *V)) {
+    auto V = readOperand(D, 0, W);
+    if (!V || !writeOperand(D, 1, W, *V)) {
       Error = "mov with unresolvable operand: " + Insn.toString();
       return Flow::Stop;
     }
@@ -272,7 +431,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
   }
 
   case EncKind::Movx: {
-    auto V = readOperand(Insn.Ops[0], Insn.SrcW);
+    auto V = readOperand(D, 0, Insn.SrcW);
     if (!V) {
       Error = "movx source unresolvable: " + Insn.toString();
       return Flow::Stop;
@@ -280,23 +439,23 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
     uint64_t Value = Insn.Mn == Mnemonic::MOVZX
                          ? (*V & widthMask(Insn.SrcW))
                          : static_cast<uint64_t>(signExtend(*V, Insn.SrcW));
-    writeOperand(Insn.Ops[1], W, Value & widthMask(W));
+    writeOperand(D, 1, W, Value & widthMask(W));
     return Flow::Next;
   }
 
   case EncKind::Lea: {
-    auto A = memAddress(Insn.Ops[0].Mem);
+    auto A = memAddress(D, 0);
     if (!A) {
       Error = "lea of a symbolic address: " + Insn.toString();
       return Flow::Stop;
     }
-    writeOperand(Insn.Ops[1], W, *A & widthMask(W));
+    writeOperand(D, 1, W, *A & widthMask(W));
     return Flow::Next;
   }
 
   case EncKind::AluRMI: {
-    auto A = readOperand(Insn.Ops[1], W); // dest (first ALU input)
-    auto B = readOperand(Insn.Ops[0], W); // src
+    auto A = readOperand(D, 1, W); // dest (first ALU input)
+    auto B = readOperand(D, 0, W); // src
     if (!A || !B) {
       Error = "ALU operand unresolvable: " + Insn.toString();
       return Flow::Stop;
@@ -341,13 +500,13 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
       return Flow::Stop;
     }
     if (Insn.Mn != Mnemonic::CMP)
-      writeOperand(Insn.Ops[1], W, R & widthMask(W));
+      writeOperand(D, 1, W, R & widthMask(W));
     return Flow::Next;
   }
 
   case EncKind::Test: {
-    auto A = readOperand(Insn.Ops[1], W);
-    auto B = readOperand(Insn.Ops[0], W);
+    auto A = readOperand(D, 1, W);
+    auto B = readOperand(D, 0, W);
     if (!A || !B) {
       Error = "test operand unresolvable";
       return Flow::Stop;
@@ -357,7 +516,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
   }
 
   case EncKind::UnaryRM: {
-    auto V = readOperand(Insn.Ops[0], W);
+    auto V = readOperand(D, 0, W);
     if (!V) {
       Error = "unary operand unresolvable";
       return Flow::Stop;
@@ -365,25 +524,25 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
     const uint64_t Mask = widthMask(W);
     switch (Insn.Mn) {
     case Mnemonic::NOT:
-      writeOperand(Insn.Ops[0], W, ~*V & Mask);
+      writeOperand(D, 0, W, ~*V & Mask);
       return Flow::Next;
     case Mnemonic::NEG:
       flagsSub(0, *V, 0, W);
       S.CF = (*V & Mask) != 0;
-      writeOperand(Insn.Ops[0], W, (0 - *V) & Mask);
+      writeOperand(D, 0, W, (0 - *V) & Mask);
       return Flow::Next;
     case Mnemonic::INC: {
       bool SavedCF = S.CF;
       flagsAdd(*V, 1, 0, W);
       S.CF = SavedCF;
-      writeOperand(Insn.Ops[0], W, (*V + 1) & Mask);
+      writeOperand(D, 0, W, (*V + 1) & Mask);
       return Flow::Next;
     }
     case Mnemonic::DEC: {
       bool SavedCF = S.CF;
       flagsSub(*V, 1, 0, W);
       S.CF = SavedCF;
-      writeOperand(Insn.Ops[0], W, (*V - 1) & Mask);
+      writeOperand(D, 0, W, (*V - 1) & Mask);
       return Flow::Next;
     }
     case Mnemonic::MUL: {
@@ -453,7 +612,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
   case EncKind::ImulMulti: {
     if (Insn.Ops.size() == 1) {
       unsigned Bits = widthBytes(W) * 8;
-      auto V = readOperand(Insn.Ops[0], W);
+      auto V = readOperand(D, 0, W);
       if (!V) {
         Error = "imul operand unresolvable";
         return Flow::Stop;
@@ -475,39 +634,39 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
       return Flow::Next;
     }
     int64_t A, B;
-    const Operand *DstOp;
+    unsigned DstOp;
     if (Insn.Ops.size() == 2) {
-      auto SrcV = readOperand(Insn.Ops[0], W);
-      auto DstV = readOperand(Insn.Ops[1], W);
+      auto SrcV = readOperand(D, 0, W);
+      auto DstV = readOperand(D, 1, W);
       if (!SrcV || !DstV) {
         Error = "imul operand unresolvable";
         return Flow::Stop;
       }
       A = signExtend(*SrcV, W);
       B = signExtend(*DstV, W);
-      DstOp = &Insn.Ops[1];
+      DstOp = 1;
     } else {
-      auto SrcV = readOperand(Insn.Ops[1], W);
+      auto SrcV = readOperand(D, 1, W);
       if (!SrcV || !Insn.Ops[0].isConstImm()) {
         Error = "imul operand unresolvable";
         return Flow::Stop;
       }
       A = Insn.Ops[0].Imm;
       B = signExtend(*SrcV, W);
-      DstOp = &Insn.Ops[2];
+      DstOp = 2;
     }
     __int128 Prod = static_cast<__int128>(A) * B;
     uint64_t R = static_cast<uint64_t>(Prod) & widthMask(W);
     S.CF = S.OF = signExtend(R, W) != Prod;
     setResultFlags(R, W);
     S.AF = false; // Undefined after IMUL; deterministic per the table def.
-    writeOperand(*DstOp, W, R);
+    writeOperand(D, DstOp, W, R);
     return Flow::Next;
   }
 
   case EncKind::ShiftRot: {
-    const Operand &Target = Insn.Ops.back();
-    auto V = readOperand(Target, W);
+    const unsigned Target = Insn.Ops.size() - 1;
+    auto V = readOperand(D, Target, W);
     if (!V) {
       Error = "shift operand unresolvable";
       return Flow::Stop;
@@ -577,24 +736,24 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
       Error = "unexpected shift mnemonic";
       return Flow::Stop;
     }
-    writeOperand(Target, W, R);
+    writeOperand(D, Target, W, R);
     return Flow::Next;
   }
 
   case EncKind::Push: {
-    auto V = readOperand(Insn.Ops[0], Width::Q);
+    auto V = readOperand(D, 0, Width::Q);
     if (!V) {
       Error = "push operand unresolvable";
       return Flow::Stop;
     }
-    S.gpr(Reg::RSP) -= 8;
-    Em.store(S.gpr(Reg::RSP), *V, 8);
+    rsp() -= 8;
+    Em.store(rsp(), *V, 8);
     return Flow::Next;
   }
   case EncKind::Pop: {
-    uint64_t V = Em.load(S.gpr(Reg::RSP), 8);
-    S.gpr(Reg::RSP) += 8;
-    if (!writeOperand(Insn.Ops[0], Width::Q, V)) {
+    uint64_t V = Em.load(rsp(), 8);
+    rsp() += 8;
+    if (!writeOperand(D, 0, Width::Q, V)) {
       Error = "pop operand unresolvable";
       return Flow::Stop;
     }
@@ -602,14 +761,14 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
   }
 
   case EncKind::Xchg: {
-    auto A = readOperand(Insn.Ops[0], W);
-    auto B = readOperand(Insn.Ops[1], W);
+    auto A = readOperand(D, 0, W);
+    auto B = readOperand(D, 1, W);
     if (!A || !B) {
       Error = "xchg operand unresolvable";
       return Flow::Stop;
     }
-    writeOperand(Insn.Ops[0], W, *B);
-    writeOperand(Insn.Ops[1], W, *A);
+    writeOperand(D, 0, W, *B);
+    writeOperand(D, 1, W, *A);
     return Flow::Next;
   }
 
@@ -624,17 +783,17 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
   }
 
   case EncKind::Setcc:
-    writeOperand(Insn.Ops[0], Width::B, evalCond(Insn.CC) ? 1 : 0);
+    writeOperand(D, 0, Width::B, evalCond(Insn.CC) ? 1 : 0);
     return Flow::Next;
 
   case EncKind::Cmovcc: {
     if (evalCond(Insn.CC)) {
-      auto V = readOperand(Insn.Ops[0], W);
+      auto V = readOperand(D, 0, W);
       if (!V) {
         Error = "cmov operand unresolvable";
         return Flow::Stop;
       }
-      writeOperand(Insn.Ops[1], W, *V);
+      writeOperand(D, 1, W, *V);
     } else if (W == Width::L && Insn.Ops[1].isReg()) {
       // Even a not-taken 32-bit cmov zero-extends the destination.
       S.setGpr(Insn.Ops[1].R, S.gprValue(Insn.Ops[1].R));
@@ -643,18 +802,14 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
   }
 
   case EncKind::Jmp:
-    if (Insn.hasIndirectTarget()) {
+    if (D.is(DecodedInsn::Indirect)) {
       Error = "indirect jump in emulation: " + Insn.toString();
       return Flow::Stop;
     }
-    JumpTarget = Insn.Ops[0].Sym;
     return Flow::Jump;
 
   case EncKind::Jcc:
-    if (!evalCond(Insn.CC))
-      return Flow::Next;
-    JumpTarget = Insn.Ops[0].Sym;
-    return Flow::Jump;
+    return evalCond(Insn.CC) ? Flow::Jump : Flow::Next;
 
   case EncKind::Fixed:
     switch (Insn.Mn) {
@@ -681,16 +836,16 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
       return Flow::Next;
     }
     case Mnemonic::LEAVE:
-      S.gpr(Reg::RSP) = S.gpr(Reg::RBP);
-      S.gpr(Reg::RBP) = Em.load(S.gpr(Reg::RSP), 8);
-      S.gpr(Reg::RSP) += 8;
+      rsp() = S.gpr(Reg::RBP);
+      S.gpr(Reg::RBP) = Em.load(rsp(), 8);
+      rsp() += 8;
       return Flow::Next;
     case Mnemonic::CPUID:
       S.gpr(Reg::RAX) = S.gpr(Reg::RBX) = S.gpr(Reg::RCX) =
           S.gpr(Reg::RDX) = 0;
       return Flow::Next;
     case Mnemonic::RDTSC:
-      // Deterministic timestamp: instruction count is injected by run().
+      // Deterministic timestamp: always 0, so runs stay reproducible.
       S.setGpr(Reg::EAX, 0);
       S.setGpr(Reg::EDX, 0);
       return Flow::Next;
@@ -708,7 +863,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
     if (Src.isReg() && regIsXmm(Src.R)) {
       V = S.XmmLo[regEncoding(Src.R)];
     } else if (Src.isMem()) {
-      auto A = memAddress(Src.Mem);
+      auto A = memAddress(D, 0);
       if (!A) {
         Error = "SSE load address unresolvable";
         return Flow::Stop;
@@ -721,7 +876,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
     if (Dst.isReg() && regIsXmm(Dst.R)) {
       S.XmmLo[regEncoding(Dst.R)] = V;
     } else if (Dst.isMem()) {
-      auto A = memAddress(Dst.Mem);
+      auto A = memAddress(D, 1);
       if (!A) {
         Error = "SSE store address unresolvable";
         return Flow::Stop;
@@ -740,7 +895,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
     if (Dst.isReg() && regIsXmm(Dst.R)) {
       auto V = Src.isReg() && !regIsXmm(Src.R)
                    ? std::optional<uint64_t>(S.gprValue(Src.R))
-                   : readOperand(Src, Width::Q);
+                   : readOperand(D, 0, Width::Q);
       if (!V) {
         Error = "movq/movd source unresolvable";
         return Flow::Stop;
@@ -758,7 +913,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
         return Flow::Next;
       }
       if (Dst.isMem()) {
-        auto A = memAddress(Dst.Mem);
+        auto A = memAddress(D, 1);
         if (!A) {
           Error = "movq store address unresolvable";
           return Flow::Stop;
@@ -782,7 +937,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
     if (Src.isReg() && regIsXmm(Src.R)) {
       SrcBits = S.XmmLo[regEncoding(Src.R)];
     } else if (Src.isMem()) {
-      auto A = memAddress(Src.Mem);
+      auto A = memAddress(D, 0);
       if (!A) {
         Error = "SSE ALU load unresolvable";
         return Flow::Stop;
@@ -879,7 +1034,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
 
   case EncKind::Call:
   case EncKind::Ret:
-    // Handled by the driver loop (needs the entry iterator).
+    // Handled by the run loop (needs the call stack).
     assert(false && "call/ret handled by the run loop");
     return Flow::Stop;
 
@@ -894,106 +1049,74 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
 EmulationResult Interp::run(const std::string &Name,
                             const Emulator::Config &Cfg) {
   EmulationResult Result;
-  auto Start = Labels.find(Name);
-  if (Start == Labels.end()) {
+  std::optional<uint32_t> Start = Em.labelIndex(Name);
+  if (!Start) {
     Result.Reason = StopReason::UnknownTarget;
     Result.Message = "unknown entry point: " + Name;
     return Result;
   }
 
-  S.gpr(Reg::RSP) = Cfg.StackBase;
+  rsp() = Cfg.StackBase;
   // Sentinel return address for the top frame.
-  S.gpr(Reg::RSP) -= 8;
-  Em.store(S.gpr(Reg::RSP), 0xdeadbeefULL, 8);
+  rsp() -= 8;
+  Em.store(rsp(), 0xdeadbeefULL, 8);
 
-  EntryIter IP = Start->second;
-  const EntryIter End = Unit.entries().end();
+  const std::vector<DecodedInsn> &Insns = Em.decoded();
+  uint32_t IP = *Start;
+  auto Stop = [&](StopReason Reason, std::string Message) {
+    Result.Reason = Reason;
+    Result.Message = std::move(Message);
+    Result.Final = S;
+    return Result;
+  };
   while (true) {
-    if (Result.InstructionsExecuted >= Cfg.MaxSteps) {
-      Result.Reason = StopReason::StepLimit;
-      Result.Final = S;
-      return Result;
-    }
-    if (IP == End) {
-      Result.Reason = StopReason::Error;
-      Result.Message = "fell off the end of the entry list";
-      Result.Final = S;
-      return Result;
-    }
-    if (!IP->isInstruction()) {
-      ++IP;
-      continue;
-    }
+    if (Result.InstructionsExecuted >= Cfg.MaxSteps)
+      return Stop(StopReason::StepLimit, "");
+    if (IP == Insns.size())
+      return Stop(StopReason::Error, "fell off the end of the entry list");
 
-    const Instruction &Insn = IP->instruction();
+    const DecodedInsn &D = Insns[IP];
     ++Result.InstructionsExecuted;
 
     // The step hook observes the *pre-execution* state (register file at
     // entry to the instruction), matching a PMU sample's semantics.
-    if (Cfg.OnStep && !Cfg.OnStep(*IP, S)) {
-      Result.Reason = StopReason::StepLimit;
-      Result.Final = S;
-      return Result;
-    }
+    if (Cfg.OnStep && !Cfg.OnStep(D, S))
+      return Stop(StopReason::StepLimit, "");
 
-    // Calls and returns manipulate the iterator-level call stack.
-    if (Insn.isCall()) {
-      if (Insn.hasIndirectTarget()) {
-        Result.Reason = StopReason::Unsupported;
-        Result.Message = "indirect call";
-        Result.Final = S;
-        return Result;
-      }
-      auto Target = Labels.find(Insn.Ops[0].Sym);
-      if (Target == Labels.end()) {
-        Result.Reason = StopReason::UnknownTarget;
-        Result.Message = "call to unknown symbol: " + Insn.Ops[0].Sym;
-        Result.Final = S;
-        return Result;
-      }
-      S.gpr(Reg::RSP) -= 8;
-      Em.store(S.gpr(Reg::RSP), 0x1000 + CallStack.size(), 8);
-      CallStack.push_back(std::next(IP));
-      IP = Target->second;
+    // Calls and returns manipulate the index-level call stack.
+    if (D.is(DecodedInsn::Call)) {
+      if (D.is(DecodedInsn::Indirect))
+        return Stop(StopReason::Unsupported, "indirect call");
+      if (D.Target == DecodedInsn::NoTarget)
+        return Stop(StopReason::UnknownTarget,
+                    "call to unknown symbol: " + D.insn().Ops[0].Sym);
+      rsp() -= 8;
+      Em.store(rsp(), 0x1000 + CallStack.size(), 8);
+      CallStack.push_back(IP + 1);
+      IP = D.Target;
       continue;
     }
-    if (Insn.isReturn()) {
-      S.gpr(Reg::RSP) += 8;
-      if (CallStack.empty()) {
-        Result.Reason = StopReason::Returned;
-        Result.Final = S;
-        return Result;
-      }
+    if (D.is(DecodedInsn::Return)) {
+      rsp() += 8;
+      if (CallStack.empty())
+        return Stop(StopReason::Returned, "");
       IP = CallStack.back();
       CallStack.pop_back();
       continue;
     }
 
-    std::string Error;
-    Flow F = exec(Insn, Error);
-    switch (F) {
+    switch (exec(D)) {
     case Flow::Next:
       ++IP;
       break;
-    case Flow::Jump: {
-      auto Target = Labels.find(JumpTarget);
-      if (Target == Labels.end()) {
-        Result.Reason = StopReason::UnknownTarget;
-        Result.Message = "jump to unknown label: " + JumpTarget;
-        Result.Final = S;
-        return Result;
-      }
-      IP = Target->second;
+    case Flow::Jump:
+      if (D.Target == DecodedInsn::NoTarget)
+        return Stop(StopReason::UnknownTarget,
+                    "jump to unknown label: " + D.insn().Ops[0].Sym);
+      IP = D.Target;
       break;
-    }
     case Flow::Stop:
-      Result.Reason = StopReason::Unsupported;
-      Result.Message = Error;
-      Result.Final = S;
-      return Result;
-    case Flow::Return:
-      assert(false && "handled above");
-      break;
+      return Stop(StopReason::Unsupported, std::move(Error));
     }
   }
 }
@@ -1003,7 +1126,7 @@ EmulationResult Interp::run(const std::string &Name,
 EmulationResult Emulator::run(const std::string &Name,
                               const MachineState &Initial,
                               const Config &Cfg) {
-  Interp I(*this, Unit, Labels, Initial);
+  Interp I(*this, Initial);
   return I.run(Name, Cfg);
 }
 

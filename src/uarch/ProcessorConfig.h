@@ -53,7 +53,6 @@ struct ProcessorConfig {
   bool HasLsd = true;
   unsigned LsdMaxLines = 4;      ///< Max 16-byte lines a streamed loop spans.
   unsigned LsdMinIterations = 64;
-  unsigned LsdUopsPerCycle = 4;  ///< Delivery bandwidth while streaming.
 
   // Branch prediction.
   unsigned BtbIndexShift = 5;    ///< Predictor index = (PC >> shift) & mask.

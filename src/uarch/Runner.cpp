@@ -9,31 +9,6 @@
 
 using namespace mao;
 
-namespace {
-
-/// Effective data address of \p Insn's memory operand under the
-/// pre-execution machine state; nullopt for symbolic/RIP-relative
-/// references and non-memory instructions.
-std::optional<uint64_t> dataAddress(const Instruction &Insn,
-                                    const MachineState &S) {
-  const Operand *Mem = Insn.memOperand();
-  if (!Mem)
-    return std::nullopt;
-  // An indirect branch target memory operand is a code reference, but its
-  // load still touches the data side; treat it like any other access.
-  const MemRef &M = Mem->Mem;
-  if (M.hasSym() || M.isRipRelative())
-    return std::nullopt;
-  uint64_t A = static_cast<uint64_t>(M.Disp);
-  if (M.Base != Reg::None)
-    A += S.gprValue(gprWithWidth(superReg(M.Base), Width::Q));
-  if (M.Index != Reg::None)
-    A += S.gprValue(gprWithWidth(superReg(M.Index), Width::Q)) * M.Scale;
-  return A;
-}
-
-} // namespace
-
 ErrorOr<MeasureResult> mao::measureFunction(MaoUnit &Unit,
                                             const std::string &Function,
                                             const MeasureOptions &Options) {
@@ -49,13 +24,9 @@ ErrorOr<MeasureResult> mao::measureFunction(MaoUnit &Unit,
   UarchSimulator Sim(Options.Config);
   Emulator::Config Cfg;
   Cfg.MaxSteps = Options.MaxSteps;
-  Cfg.OnStep = [&](const MaoEntry &Entry, const MachineState &S) {
-    TraceEvent Event;
-    Event.Entry = &Entry;
-    Event.Address = Entry.Address;
-    Event.Size = Entry.Size;
-    Event.MemAddr = dataAddress(Entry.instruction(), S);
-    Sim.consume(Event);
+  Cfg.OnStep = [&](const DecodedInsn &Insn, const MachineState &S) {
+    // The data address comes from the pre-execution register state.
+    Sim.consume({&Insn, Insn.dataAddress(S)});
     return true;
   };
 

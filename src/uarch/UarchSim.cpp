@@ -3,9 +3,9 @@
 #include "uarch/UarchSim.h"
 
 #include "support/Stats.h"
-#include "x86/Instruction.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 using namespace mao;
@@ -60,18 +60,40 @@ uint32_t plruTouch(uint32_t Bits, unsigned Ways, unsigned Way) {
   return Bits;
 }
 
+/// \p A / 2^\p Shift, truncating toward zero like the signed division by
+/// the line size it replaces.
+int64_t divPow2(int64_t A, unsigned Shift) {
+  return A >= 0 ? A >> Shift : -(-A >> Shift);
+}
+
 } // namespace
 
-UarchSimulator::UarchSimulator(const ProcessorConfig &Config) : Cfg(Config) {
+UarchSimulator::UarchSimulator(const ProcessorConfig &Config)
+    : Cfg(Config), LineShift(std::countr_zero(Config.LineBytes)),
+      DecodeLineShift(std::countr_zero(Config.DecodeLineBytes)),
+      PageShift(std::countr_zero(Config.ItlbPageBytes)),
+      L1SetMask(Config.L1Sets - 1), L2SetMask(Config.L2Sets - 1),
+      L1ISetMask(Config.L1ISets - 1), BtbMask(Config.BtbEntries - 1),
+      L1IPlru(Config.L1IRepl == ProcessorConfig::Repl::PseudoLru &&
+              Config.L1IWays > 1 && std::has_single_bit(Config.L1IWays)) {
+  assert(std::has_single_bit(Cfg.LineBytes) &&
+         std::has_single_bit(Cfg.DecodeLineBytes) &&
+         std::has_single_bit(Cfg.ItlbPageBytes) &&
+         std::has_single_bit(Cfg.L1Sets) && std::has_single_bit(Cfg.L2Sets) &&
+         std::has_single_bit(Cfg.L1ISets) &&
+         std::has_single_bit(Cfg.BtbEntries) &&
+         "simulator geometry must be powers of two");
+  assert(Cfg.RsEntries > 0 && "the reservation station needs a slot");
   Predictor.assign(Cfg.BtbEntries, 2); // Weakly taken.
   L1.assign(Cfg.L1Sets, {});
   L2.assign(Cfg.L2Sets, {});
   L1I.assign(Cfg.L1ISets, {});
   PortFree.assign(std::clamp(Cfg.NumPorts, 1u, 8u), 0);
+  InFlight.assign(Cfg.RsEntries, 0);
   RegReady.fill(0);
 }
 
-void UarchSimulator::noteBranch(const TraceEvent &Event, bool Taken,
+void UarchSimulator::noteBranch(int64_t Address, bool Taken,
                                 bool IsConditional) {
   if (!IsConditional) {
     // Unconditional redirects break the fetch line and cost a fetch
@@ -79,15 +101,13 @@ void UarchSimulator::noteBranch(const TraceEvent &Event, bool Taken,
     // direct jumps (calls/returns disqualify streaming entirely).
     CurrentLine = -1;
     DecodedInLine = 0;
-    if (!LsdStreaming || Event.Address < LsdLoopStart ||
-        Event.Address >= LsdLoopEnd)
+    if (!LsdStreaming || Address < LsdLoopStart || Address >= LsdLoopEnd)
       ++FrontCycle;
     return;
   }
   ++Pmu.BrCondRetired;
-  const uint64_t Index = (static_cast<uint64_t>(Event.Address) >>
-                          Cfg.BtbIndexShift) %
-                         Cfg.BtbEntries;
+  const uint64_t Index =
+      (static_cast<uint64_t>(Address) >> Cfg.BtbIndexShift) & BtbMask;
   uint8_t &Counter = Predictor[Index];
   const bool Predicted = Counter >= 2;
   if (Predicted != Taken) {
@@ -137,17 +157,16 @@ void UarchSimulator::cacheFill(std::vector<CacheWay> &Set, uint64_t Tag,
     Set.pop_back();
 }
 
-unsigned UarchSimulator::memoryAccess(uint64_t Address, bool IsStore,
-                                      bool NonTemporal) {
-  const uint64_t Line = Address / Cfg.LineBytes;
+unsigned UarchSimulator::memoryAccess(uint64_t Address, bool NonTemporal) {
+  const uint64_t Line = Address >> LineShift;
 
-  std::vector<CacheWay> &L1Set = L1[Line % Cfg.L1Sets];
+  std::vector<CacheWay> &L1Set = L1[Line & L1SetMask];
   if (cacheLookup(L1Set, Line, /*MoveToFront=*/!NonTemporal)) {
     ++Pmu.L1Hits;
     return Cfg.L1LoadLatency;
   }
   ++Pmu.L1Misses;
-  std::vector<CacheWay> &L2Set = L2[Line % Cfg.L2Sets];
+  std::vector<CacheWay> &L2Set = L2[Line & L2SetMask];
   unsigned Latency;
   if (cacheLookup(L2Set, Line, true)) {
     Latency = Cfg.L2Latency;
@@ -157,14 +176,13 @@ unsigned UarchSimulator::memoryAccess(uint64_t Address, bool IsStore,
     cacheFill(L2Set, Line, Cfg.L2Ways, NonTemporal);
   }
   cacheFill(L1Set, Line, Cfg.L1Ways, NonTemporal);
-  (void)IsStore;
   return Latency;
 }
 
 void UarchSimulator::instructionFetch(uint64_t Line) {
   // Translation precedes fetch: a fully associative, true-LRU ITLB over
   // the code pages. A miss charges the page-walk penalty to the front end.
-  const uint64_t Page = Line * Cfg.LineBytes / Cfg.ItlbPageBytes;
+  const uint64_t Page = (Line << LineShift) >> PageShift;
   bool TlbHit = false;
   for (size_t I = 0; I < Itlb.size(); ++I) {
     if (Itlb[I] != Page)
@@ -186,13 +204,11 @@ void UarchSimulator::instructionFetch(uint64_t Line) {
 
   // L1I with the configured replacement policy. Tree pseudo-LRU needs a
   // power-of-two way count; other geometries fall back to true LRU.
-  ICacheSet &Set = L1I[Line % Cfg.L1ISets];
-  const bool Plru = Cfg.L1IRepl == ProcessorConfig::Repl::PseudoLru &&
-                    Cfg.L1IWays > 1 && (Cfg.L1IWays & (Cfg.L1IWays - 1)) == 0;
+  ICacheSet &Set = L1I[Line & L1ISetMask];
   for (size_t I = 0; I < Set.Ways.size(); ++I) {
     if (Set.Ways[I] != Line)
       continue;
-    if (Plru) {
+    if (L1IPlru) {
       Set.PlruBits =
           plruTouch(Set.PlruBits, Cfg.L1IWays, static_cast<unsigned>(I));
     } else if (I != 0) {
@@ -206,7 +222,7 @@ void UarchSimulator::instructionFetch(uint64_t Line) {
 
   // The I-side competes with the D-side for the same unified L2 arrays:
   // instruction misses evict data lines and vice versa.
-  std::vector<CacheWay> &L2Set = L2[Line % Cfg.L2Sets];
+  std::vector<CacheWay> &L2Set = L2[Line & L2SetMask];
   if (cacheLookup(L2Set, Line, true)) {
     FrontCycle += Cfg.L2Latency;
   } else {
@@ -215,7 +231,7 @@ void UarchSimulator::instructionFetch(uint64_t Line) {
     cacheFill(L2Set, Line, Cfg.L2Ways, false);
   }
 
-  if (Plru) {
+  if (L1IPlru) {
     unsigned Way;
     if (Set.Ways.size() < Cfg.L1IWays) {
       Way = static_cast<unsigned>(Set.Ways.size());
@@ -232,24 +248,25 @@ void UarchSimulator::instructionFetch(uint64_t Line) {
   }
 }
 
-uint64_t UarchSimulator::frontEnd(const TraceEvent &Event, unsigned Uops) {
+uint64_t UarchSimulator::frontEnd(const DecodedInsn &Insn) {
   // Decode is per 16-byte line: a new line is a new decode cycle, and at
   // most MaxDecodePerLine instructions decode from one line per cycle.
   // The Core-2-era LSD sits in the fetch unit (pre-decode): while
   // streaming, the taken-branch fetch bubble disappears (see noteBranch),
   // but decode-line costs remain — which is exactly why the paper's
   // short-loop-alignment cliff (LOOP16) exists on machines with an LSD.
-  const bool Streaming = LsdStreaming && Event.Address >= LsdLoopStart &&
-                         Event.Address < LsdLoopEnd;
+  const int64_t Address = Insn.Address;
+  const bool Streaming =
+      LsdStreaming && Address >= LsdLoopStart && Address < LsdLoopEnd;
   if (Streaming) {
-    Pmu.LsdUops += Uops;
+    Pmu.LsdUops += Insn.Uops;
   } else {
     // Instruction fetch walks the I-side hierarchy (ITLB, L1I, shared L2)
     // for every cache line the instruction's bytes occupy. Streamed loops
     // bypass fetch entirely — the LSD replays already-fetched uops.
-    const int64_t FirstILine = Event.Address / Cfg.LineBytes;
-    const int64_t LastILine =
-        (Event.Address + std::max<int64_t>(Event.Size, 1) - 1) / Cfg.LineBytes;
+    const int64_t FirstILine = divPow2(Address, LineShift);
+    const int64_t LastILine = divPow2(
+        Address + std::max<int64_t>(Insn.Size, 1) - 1, LineShift);
     if (LastILine != FirstILine)
       ++Pmu.LineSplitFetches;
     for (int64_t L = FirstILine; L <= LastILine; ++L) {
@@ -260,10 +277,9 @@ uint64_t UarchSimulator::frontEnd(const TraceEvent &Event, unsigned Uops) {
     }
   }
 
-  const int64_t FirstLine = Event.Address / Cfg.DecodeLineBytes;
-  const int64_t LastLine =
-      (Event.Address + static_cast<int64_t>(Event.Size) - 1) /
-      Cfg.DecodeLineBytes;
+  const int64_t FirstLine = divPow2(Address, DecodeLineShift);
+  const int64_t LastLine = divPow2(
+      Address + static_cast<int64_t>(Insn.Size) - 1, DecodeLineShift);
   if (FirstLine != CurrentLine || LastLine != CurrentLine) {
     int64_t NewLines = LastLine - FirstLine + 1;
     if (CurrentLine >= 0 && FirstLine == CurrentLine)
@@ -275,8 +291,7 @@ uint64_t UarchSimulator::frontEnd(const TraceEvent &Event, unsigned Uops) {
     DecodedInLine = 0;
   }
   unsigned Slots = 1;
-  if (Cfg.DecodeCostPerLoad > 1 &&
-      Event.Entry->instruction().effects().MemRead)
+  if (Cfg.DecodeCostPerLoad > 1 && Insn.Fx.MemRead)
     Slots = Cfg.DecodeCostPerLoad;
   DecodedInLine += Slots;
   if (DecodedInLine > Cfg.MaxDecodePerLine) {
@@ -287,18 +302,16 @@ uint64_t UarchSimulator::frontEnd(const TraceEvent &Event, unsigned Uops) {
 }
 
 void UarchSimulator::backEnd(const TraceEvent &Event, uint64_t ReadyCycle) {
-  const Instruction &Insn = Event.Entry->instruction();
-  const OpcodeInfo &Info = Insn.info();
-  const InstructionEffects Fx = Insn.effects();
+  const DecodedInsn &Insn = *Event.Insn;
+  const InstructionEffects &Fx = Insn.Fx;
 
   // Reservation-station window: dispatch waits for the oldest in-flight
   // instruction to complete once the window is full, and the wait also
   // stalls the fetch/decode front end (otherwise the front would race
   // arbitrarily far ahead of a saturated back end).
   uint64_t Dispatch = ReadyCycle;
-  if (InFlight.size() >= Cfg.RsEntries) {
-    const uint64_t OldestDone = InFlight.front();
-    InFlight.pop_front();
+  if (InFlightCount == Cfg.RsEntries) {
+    const uint64_t OldestDone = InFlight[InFlightPos];
     if (OldestDone > Dispatch) {
       Pmu.RsFullStalls += OldestDone - Dispatch;
       Dispatch = OldestDone;
@@ -336,7 +349,7 @@ void UarchSimulator::backEnd(const TraceEvent &Event, uint64_t ReadyCycle) {
   // symmetric machine treats every port as issue-capable for any uop.
   const unsigned Ports = static_cast<unsigned>(PortFree.size());
   const uint8_t Reachable = static_cast<uint8_t>((1u << Ports) - 1);
-  uint8_t Mask = Cfg.AsymmetricPorts ? Info.Ports : Reachable;
+  uint8_t Mask = Cfg.AsymmetricPorts ? Insn.Ports : Reachable;
   if (Mask == 0)
     Mask = PortsAluAny;
   if ((Mask & Reachable) == 0)
@@ -355,10 +368,10 @@ void UarchSimulator::backEnd(const TraceEvent &Event, uint64_t ReadyCycle) {
   PortFree[BestPort] = BestStart + 1;
 
   // Latency, including the memory hierarchy for loads.
-  unsigned Latency = Info.Latency;
-  const bool IsPrefetch = Info.Kind == EncKind::Prefetch;
+  unsigned Latency = Insn.Latency;
+  const bool IsPrefetch = Insn.is(DecodedInsn::Prefetch);
   if (Event.MemAddr && !IsPrefetch) {
-    const uint64_t Line = *Event.MemAddr / Cfg.LineBytes;
+    const uint64_t Line = *Event.MemAddr >> LineShift;
     if (Fx.MemRead) {
       // A load to a recently-prefetched line keeps the non-temporal
       // placement its prefetchnta asked for; the hint survives unrelated
@@ -372,17 +385,17 @@ void UarchSimulator::backEnd(const TraceEvent &Event, uint64_t ReadyCycle) {
         NonTemporal = true;
         PrefetchedLines.erase(It);
       }
-      unsigned MemLat = memoryAccess(*Event.MemAddr, false, NonTemporal);
+      unsigned MemLat = memoryAccess(*Event.MemAddr, NonTemporal);
       Latency = std::max(Latency, MemLat);
     } else if (Fx.MemWrite) {
-      memoryAccess(*Event.MemAddr, true, false);
+      memoryAccess(*Event.MemAddr, false);
     }
   }
   if (IsPrefetch && Event.MemAddr) {
     // The prefetch touches the cache with non-temporal placement but is
     // off the critical path.
-    memoryAccess(*Event.MemAddr, false, true);
-    const uint64_t Line = *Event.MemAddr / Cfg.LineBytes;
+    memoryAccess(*Event.MemAddr, true);
+    const uint64_t Line = *Event.MemAddr >> LineShift;
     if (std::find(PrefetchedLines.begin(), PrefetchedLines.end(), Line) ==
         PrefetchedLines.end()) {
       PrefetchedLines.push_back(Line);
@@ -400,35 +413,36 @@ void UarchSimulator::backEnd(const TraceEvent &Event, uint64_t ReadyCycle) {
   if (Fx.FlagsDef)
     RegReady[FlagsSlot] = Completion;
 
-  InFlight.push_back(Completion);
+  InFlight[InFlightPos] = Completion;
+  InFlightPos = InFlightPos + 1 == Cfg.RsEntries ? 0 : InFlightPos + 1;
+  if (InFlightCount < Cfg.RsEntries)
+    ++InFlightCount;
   LastCompletion = std::max(LastCompletion, Completion);
 }
 
 void UarchSimulator::consume(const TraceEvent &Event) {
   assert(!Finished && "consume after finish");
-  assert(Event.Entry && Event.Entry->isInstruction());
-  const Instruction &Insn = Event.Entry->instruction();
-  const OpcodeInfo &Info = Insn.info();
+  assert(Event.Insn && "event without an instruction");
+  const DecodedInsn &Insn = *Event.Insn;
+  const int64_t Address = Insn.Address;
 
   // Resolve the previous conditional branch now that its outcome (this
   // instruction's address) is known.
   if (PendingBranchAddr >= 0) {
-    const bool Taken = Event.Address != PendingBranchFallthrough;
-    TraceEvent BranchEvent;
-    BranchEvent.Address = PendingBranchAddr;
-    noteBranch(BranchEvent, Taken, /*IsConditional=*/true);
+    const bool Taken = Address != PendingBranchFallthrough;
+    noteBranch(PendingBranchAddr, Taken, /*IsConditional=*/true);
     PendingBranchAddr = -1;
 
     // Loop Stream Detector bookkeeping on backward taken branches.
     if (Cfg.HasLsd) {
-      if (Taken && Event.Address < PendingBranchFallthrough) {
-        const int64_t Start = Event.Address;
+      if (Taken && Address < PendingBranchFallthrough) {
+        const int64_t Start = Address;
         const int64_t End = PendingBranchFallthrough;
         if (Start == LsdLoopStart && End == LsdLoopEnd) {
           ++LsdIterations;
           const unsigned Lines = static_cast<unsigned>(
-              (End - 1) / Cfg.DecodeLineBytes - Start / Cfg.DecodeLineBytes +
-              1);
+              divPow2(End - 1, DecodeLineShift) -
+              divPow2(Start, DecodeLineShift) + 1);
           if (LsdEligible && Lines <= Cfg.LsdMaxLines &&
               LsdIterations >= Cfg.LsdMinIterations)
             LsdStreaming = true;
@@ -438,13 +452,10 @@ void UarchSimulator::consume(const TraceEvent &Event) {
           LsdIterations = 1;
           LsdStreaming = false;
           LsdEligible = true;
-          LsdUopsThisIter = 0;
         }
-      } else if (Taken || Event.Address >= LsdLoopEnd ||
-                 Event.Address < LsdLoopStart) {
+      } else if (Taken || Address >= LsdLoopEnd || Address < LsdLoopStart) {
         // Left the loop (fallthrough out or forward jump elsewhere).
-        if (LsdStreaming || Event.Address >= LsdLoopEnd ||
-            Event.Address < LsdLoopStart) {
+        if (LsdStreaming || Address >= LsdLoopEnd || Address < LsdLoopStart) {
           LsdStreaming = false;
           LsdIterations = 0;
           LsdLoopStart = LsdLoopEnd = -1;
@@ -454,23 +465,24 @@ void UarchSimulator::consume(const TraceEvent &Event) {
   }
 
   // Instructions that disqualify a loop from streaming.
-  if (Cfg.HasLsd && LsdLoopStart >= 0 && Event.Address >= LsdLoopStart &&
-      Event.Address < LsdLoopEnd &&
-      (Insn.isCall() || Insn.isReturn() || Insn.hasIndirectTarget()))
+  if (Cfg.HasLsd && LsdLoopStart >= 0 && Address >= LsdLoopStart &&
+      Address < LsdLoopEnd &&
+      Insn.is(DecodedInsn::Call | DecodedInsn::Return | DecodedInsn::Indirect))
     LsdEligible = false;
 
   ++Pmu.InstRetired;
-  Pmu.UopsRetired += Info.Uops;
+  Pmu.UopsRetired += Insn.Uops;
 
-  const uint64_t Delivered = frontEnd(Event, Info.Uops);
+  const uint64_t Delivered = frontEnd(Insn);
   backEnd(Event, Delivered);
 
   // Record branch kind for resolution at the next event.
-  if (Insn.isCondJump()) {
-    PendingBranchAddr = Event.Address;
-    PendingBranchFallthrough = Event.Address + Event.Size;
-  } else if (Insn.isUncondJump() || Insn.isCall() || Insn.isReturn()) {
-    noteBranch(Event, true, /*IsConditional=*/false);
+  if (Insn.is(DecodedInsn::CondJump)) {
+    PendingBranchAddr = Address;
+    PendingBranchFallthrough = Address + Insn.Size;
+  } else if (Insn.is(DecodedInsn::UncondJump | DecodedInsn::Call |
+                     DecodedInsn::Return)) {
+    noteBranch(Address, true, /*IsConditional=*/false);
   }
 }
 

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 using namespace mao;
 
 namespace {
@@ -357,3 +359,17 @@ TEST(Uarch, RetireWidthBoundsIpc) {
 }
 
 } // namespace
+
+TEST(Uarch, PresetGeometriesArePowersOfTwo) {
+  // The simulator indexes its caches, lines, pages and predictor with
+  // shifts and masks, which are exact only for power-of-two sizes.
+  for (const ProcessorConfig &C :
+       {ProcessorConfig::core2(), ProcessorConfig::opteron(),
+        ProcessorConfig::pentium4()}) {
+    SCOPED_TRACE(C.Name);
+    for (unsigned Size : {C.LineBytes, C.DecodeLineBytes, C.ItlbPageBytes,
+                          C.L1Sets, C.L2Sets, C.L1ISets, C.BtbEntries})
+      EXPECT_TRUE(std::has_single_bit(Size)) << Size;
+    EXPECT_GT(C.RsEntries, 0u);
+  }
+}
