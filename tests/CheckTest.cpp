@@ -21,6 +21,7 @@
 #include "pass/MaoPass.h"
 #include "sim/Emulator.h"
 #include "support/Diag.h"
+#include "support/Random.h"
 
 #include <cstdio>
 #include <gtest/gtest.h>
@@ -348,10 +349,12 @@ TEST(CheckPipeline, DefaultPipelineHasNoFalsePositives) {
 namespace {
 
 /// Runs \p Body both ways and compares every register/flag the evaluator
-/// resolved to a constant against the emulator's final state.
+/// resolved to a constant against the emulator's final state. At least
+/// \p MinConstRegs registers and \p MinConstFlags flags must have folded.
 void diffAgainstEmulator(const std::string &Body,
                          const std::vector<std::pair<Reg, uint64_t>> &Seeds,
-                         unsigned MinConstRegs) {
+                         unsigned MinConstRegs, unsigned MinConstFlags = 0) {
+  SCOPED_TRACE(Body);
   MaoUnit Unit = parseOk(wrapFunction("f", Body));
   MaoFunction *Fn = Unit.findFunction("f");
   ASSERT_NE(Fn, nullptr);
@@ -394,15 +397,276 @@ void diffAgainstEmulator(const std::string &Body,
                             Result.Final.SF, Result.Final.OF};
   static const char *const FlagNames[6] = {"CF", "PF", "AF",
                                            "ZF", "SF", "OF"};
+  unsigned ConstFlags = 0;
   for (unsigned F = 0; F < NumStatusFlags; ++F) {
     const SymNode &N = Table.node(Summary.Flags[F]);
     if (N.isConst()) {
+      ++ConstFlags;
       EXPECT_EQ(N.Value, EmuFlags[F] ? 1u : 0u) << FlagNames[F];
     }
   }
+  EXPECT_GE(ConstFlags, MinConstFlags);
+}
+
+/// One operand width with its suffix and the views of %rax, %rcx, %rdx.
+struct WidthForm {
+  const char *Suffix;
+  const char *Ax, *Cx, *Dx;
+  unsigned Bits;
+};
+
+const WidthForm AllWidths[] = {{"b", "%al", "%cl", "%dl", 8},
+                               {"w", "%ax", "%cx", "%dx", 16},
+                               {"l", "%eax", "%ecx", "%edx", 32},
+                               {"q", "%rax", "%rcx", "%rdx", 64}};
+
+/// Operand values around every width's sign and carry boundaries.
+const uint64_t EdgeValues[] = {0,
+                               1,
+                               0x7f,
+                               0x80,
+                               0x7fff,
+                               0x8000,
+                               0x7fffffff,
+                               0x80000000,
+                               0x8000000000000000ULL,
+                               ~0ULL,
+                               0x0123456789abcdefULL};
+
+std::string insn(const std::string &Mn, const WidthForm &W,
+                 const std::string &Ops) {
+  return "\t" + Mn + W.Suffix + " " + Ops + "\n";
+}
+
+/// Sets CF to \p Carry via `cmp %rsi, %rdi` over seeded %rdi = 0, %rsi.
+const char *const SetCarry = "\tcmpq %rsi, %rdi\n";
+
+} // namespace
+
+TEST(Differential, AddSubAndCompareWithCarryIn) {
+  for (const char *Mn : {"add", "adc", "sub", "sbb", "cmp"})
+    for (const WidthForm &W : AllWidths)
+      for (uint64_t A : EdgeValues)
+        for (uint64_t B : EdgeValues)
+          for (uint64_t Carry : {0, 1})
+            diffAgainstEmulator(std::string(SetCarry) +
+                                    insn(Mn, W, std::string(W.Cx) + ", " +
+                                                    W.Ax) +
+                                    "\tret\n",
+                                {{Reg::RAX, A},
+                                 {Reg::RCX, B},
+                                 {Reg::RDI, 0},
+                                 {Reg::RSI, Carry}},
+                                4, 6);
+}
+
+TEST(Differential, NegIncDec) {
+  for (const char *Mn : {"neg", "inc", "dec"})
+    for (const WidthForm &W : AllWidths)
+      for (uint64_t A : EdgeValues)
+        for (uint64_t Carry : {0, 1})
+          diffAgainstEmulator(std::string(SetCarry) + insn(Mn, W, W.Ax) +
+                                  "\tret\n",
+                              {{Reg::RAX, A}, {Reg::RDI, 0}, {Reg::RSI, Carry}},
+                              3, 6);
+}
+
+TEST(Differential, LogicAndTest) {
+  for (const char *Mn : {"and", "or", "xor", "test"})
+    for (const WidthForm &W : AllWidths)
+      for (uint64_t A : EdgeValues)
+        for (uint64_t B : EdgeValues)
+          diffAgainstEmulator(
+              insn(Mn, W, std::string(W.Cx) + ", " + W.Ax) + "\tret\n",
+              {{Reg::RAX, A}, {Reg::RCX, B}}, 2, 6);
+}
+
+TEST(Differential, ShiftsAndRotatesByImmediateAndCl) {
+  for (const char *Mn : {"shl", "shr", "sar", "rol", "ror"}) {
+    const bool Rotate = Mn[0] == 'r';
+    for (const WidthForm &W : AllWidths)
+      for (uint64_t A : EdgeValues)
+        for (unsigned Count : {0u, 1u, 3u, 7u, 8u, 9u, 15u, 16u, 31u, 32u,
+                               33u, 63u}) {
+          const unsigned Masked = Count & (W.Bits == 64 ? 63 : 31);
+          // Shifts fold every flag but AF; rotates fold CF alone, and a
+          // rotate by a multiple of the width leaves the flags unchanged
+          // but unfolded. A zero count keeps the seeded constant flags.
+          unsigned Flags = Rotate ? (Masked % W.Bits ? 1 : 0) : 5;
+          if (Masked == 0)
+            Flags = 6;
+          const std::string Imm = "$" + std::to_string(Count) + ", ";
+          diffAgainstEmulator(insn(Mn, W, Imm + W.Ax) + "\tret\n",
+                              {{Reg::RAX, A}}, 1, Flags);
+          diffAgainstEmulator(insn(Mn, W, std::string("%cl, ") + W.Ax) +
+                                  "\tret\n",
+                              {{Reg::RAX, A}, {Reg::RCX, Count}}, 2, Flags);
+        }
+  }
+}
+
+TEST(Differential, WideningMultiplies) {
+  for (const WidthForm &W : AllWidths)
+    for (uint64_t A : EdgeValues)
+      for (uint64_t B : EdgeValues) {
+        const std::vector<std::pair<Reg, uint64_t>> Seeds = {
+            {Reg::RAX, A}, {Reg::RCX, B}, {Reg::RDX, 0x5a5a5a5a5a5a5a5aULL}};
+        // One-operand MUL and IMUL fold CF and OF only.
+        diffAgainstEmulator(insn("mul", W, W.Cx) + "\tret\n", Seeds, 3, 2);
+        diffAgainstEmulator(insn("imul", W, W.Cx) + "\tret\n", Seeds, 3, 2);
+        if (W.Bits == 8)
+          continue; // No two- or three-operand 8-bit IMUL.
+        // The truncating forms fold every flag but AF.
+        diffAgainstEmulator(
+            insn("imul", W, std::string(W.Cx) + ", " + W.Ax) + "\tret\n",
+            Seeds, 3, 5);
+        // The immediate spelled signed and unsigned ($-1 and $0xffff for a
+        // 16-bit imul): both encode the same bits and sign-extend alike.
+        const int64_t Signed = W.Bits == 16 ? static_cast<int16_t>(B)
+                                            : static_cast<int32_t>(B);
+        const int64_t Unsigned = W.Bits == 16 ? static_cast<uint16_t>(B)
+                                              : static_cast<uint32_t>(B);
+        for (int64_t Imm : {Signed, W.Bits == 64 ? Signed : Unsigned})
+          diffAgainstEmulator(insn("imul", W,
+                                   "$" + std::to_string(Imm) + ", " + W.Cx +
+                                       ", " + W.Ax) +
+                                  "\tret\n",
+                              Seeds, 3, 5);
+      }
+}
+
+TEST(Differential, UnsignedAndSignedDivide) {
+  for (const WidthForm &W : AllWidths)
+    for (uint64_t A : EdgeValues)
+      for (uint64_t B : EdgeValues) {
+        if (W.Bits < 64 ? (B & ((1ULL << W.Bits) - 1)) == 0 : B == 0)
+          continue; // The emulator stops on a zero divisor.
+        // DIV over %dx = 0 and %dx = 1, IDIV over the sign extension of
+        // %ax (what cltd/cqto produce): every quotient fits the width
+        // except the one overflowing IDIV, which both sides truncate.
+        for (uint64_t Hi : {0, 1})
+          diffAgainstEmulator(insn("div", W, W.Cx) + "\tret\n",
+                              {{Reg::RAX, A}, {Reg::RCX, B}, {Reg::RDX, Hi}},
+                              3);
+        const bool Negative = (A >> (W.Bits - 1)) & 1;
+        diffAgainstEmulator(insn("idiv", W, W.Cx) + "\tret\n",
+                            {{Reg::RAX, A},
+                             {Reg::RCX, B},
+                             {Reg::RDX, Negative ? ~0ULL : 0}},
+                            3);
+      }
+}
+
+TEST(Differential, UnorderedCompares) {
+  const uint32_t Floats[] = {0x00000000, 0x80000000, 0x3f800000, 0xbf800000,
+                             0x7f800000, 0x7fc00000, 0x00000001};
+  const uint64_t Doubles[] = {0, 0x8000000000000000ULL, 0x3ff0000000000000ULL,
+                              0xbff0000000000000ULL, 0x7ff0000000000000ULL,
+                              0x7ff8000000000000ULL, 1};
+  // Every flag folds: ZF/PF/CF from the comparison, OF/AF/SF cleared.
+  for (uint32_t A : Floats)
+    for (uint32_t B : Floats)
+      diffAgainstEmulator("\tmovd %eax, %xmm0\n"
+                          "\tmovd %ecx, %xmm1\n"
+                          "\tucomiss %xmm1, %xmm0\n"
+                          "\tret\n",
+                          {{Reg::RAX, A}, {Reg::RCX, B}}, 2, 6);
+  for (uint64_t A : Doubles)
+    for (uint64_t B : Doubles)
+      diffAgainstEmulator("\tmovq %rax, %xmm0\n"
+                          "\tmovq %rcx, %xmm1\n"
+                          "\tucomisd %xmm1, %xmm0\n"
+                          "\tret\n",
+                          {{Reg::RAX, A}, {Reg::RCX, B}}, 2, 6);
+}
+
+namespace {
+
+/// One random instruction of the kernel's repertoire at a random width.
+/// Clobbers %rcx, %rdx and %xmm0/1 freely; divisions get a nonzero divisor
+/// and a dividend whose quotient fits (x86 would fault otherwise).
+std::string randomAluInsn(RandomSource &Rng) {
+  const WidthForm &W = AllWidths[Rng.nextBelow(4)];
+  const char *const Srcs[] = {W.Cx, W.Dx};
+  const std::string Src = Srcs[Rng.nextBelow(2)];
+  const int64_t ImmBound = W.Bits == 8 ? 0x7f : W.Bits == 16 ? 0x7fff
+                                                             : 0x7fffffff;
+  const std::string Imm =
+      "$" + std::to_string(Rng.nextInRange(-ImmBound - 1, ImmBound));
+  switch (Rng.nextBelow(12)) {
+  case 0:
+  case 1: {
+    const char *const Mns[] = {"add", "adc", "sub", "sbb", "cmp",
+                               "and", "or",  "xor", "test"};
+    const std::string Mn = Mns[Rng.nextBelow(9)];
+    const bool UseImm = Mn != "test" && Rng.nextChance(1, 3);
+    return insn(Mn, W, (UseImm ? Imm : Src) + ", " + W.Ax);
+  }
+  case 2: {
+    const char *const Mns[] = {"neg", "inc", "dec", "not"};
+    return insn(Mns[Rng.nextBelow(4)], W, W.Ax);
+  }
+  case 3:
+  case 4: {
+    const char *const Mns[] = {"shl", "shr", "sar", "rol", "ror"};
+    const char *Mn = Mns[Rng.nextBelow(5)];
+    if (Rng.nextChance(1, 2))
+      return insn(Mn, W, "%cl, " + std::string(W.Ax));
+    return insn(Mn, W, "$" + std::to_string(Rng.nextBelow(64)) + ", " + W.Ax);
+  }
+  case 5:
+    return insn(Rng.nextChance(1, 2) ? "mul" : "imul", W, W.Cx);
+  case 6:
+  case 7:
+    if (W.Bits == 8)
+      return insn("imul", W, W.Cx);
+    if (Rng.nextChance(1, 2))
+      return insn("imul", W, Src + ", " + W.Ax);
+    return insn("imul", W, Imm + ", " + Src + ", " + W.Ax);
+  case 8: {
+    // %dx := 0 for DIV; the sign of %ax for IDIV (mov + sar, which works at
+    // every width, unlike cltd/cqto).
+    std::string Out = insn("or", W, "$1, " + std::string(W.Cx));
+    if (Rng.nextChance(1, 2))
+      return Out + "\txorl %edx, %edx\n" + insn("div", W, W.Cx);
+    Out += insn("mov", W, std::string(W.Ax) + ", " + W.Dx);
+    Out += insn("sar", W, "$" + std::to_string(W.Bits - 1) + ", " + W.Dx);
+    return Out + insn("idiv", W, W.Cx);
+  }
+  case 9:
+    return "\tmovd %eax, %xmm0\n\tmovd %ecx, %xmm1\n\tucomiss %xmm1, %xmm0\n";
+  case 10:
+    return "\tmovq %rax, %xmm0\n\tmovq %rdx, %xmm1\n\tucomisd %xmm1, %xmm0\n";
+  default:
+    return insn("mov", W, Imm + ", " + Src);
+  }
+}
+
+/// A register value biased toward the width boundaries the flags care about.
+uint64_t randomOperand(RandomSource &Rng) {
+  if (Rng.nextChance(1, 3))
+    return EdgeValues[Rng.nextBelow(std::size(EdgeValues))];
+  return Rng.next() >> (8 * Rng.nextBelow(8));
 }
 
 } // namespace
+
+TEST(Differential, SeededRandomBlocks) {
+  // The flags after DIV and IDIV, and all but CF after a rotate, stay
+  // symbolic, so an ADC or SBB after one leaves %rax unfolded.
+  RandomSource Rng(0x15a1u);
+  for (unsigned Block = 0; Block < 200; ++Block) {
+    std::string Body;
+    const unsigned Length = 2 + static_cast<unsigned>(Rng.nextBelow(4));
+    for (unsigned I = 0; I < Length; ++I)
+      Body += randomAluInsn(Rng);
+    diffAgainstEmulator(Body + "\tret\n",
+                        {{Reg::RAX, randomOperand(Rng)},
+                         {Reg::RCX, randomOperand(Rng)},
+                         {Reg::RDX, randomOperand(Rng)}},
+                        2);
+  }
+}
 
 TEST(Differential, AluAndShifts) {
   diffAgainstEmulator("\tmovq $7, %rax\n"

@@ -483,6 +483,25 @@ TEST(CONSTFOLD, FoldsChains) {
   EXPECT_NE(Text.find("movl\t$42, %eax"), std::string::npos) << Text;
 }
 
+TEST(CONSTFOLD, SignedOverflowWrapsAtTheOperandWidth) {
+  MaoUnit Q = parseOk(wrapFunction(R"(	movq $0x7fffffffffffffff, %rax
+	addq $1, %rax
+	ret
+)"));
+  EXPECT_EQ(runPass(Q, "CONSTFOLD"), 1u);
+  std::string Text = emitAssembly(Q);
+  EXPECT_NE(Text.find("movq\t$-9223372036854775808, %rax"), std::string::npos)
+      << Text;
+
+  MaoUnit L = parseOk(wrapFunction(R"(	movl $0x7fffffff, %eax
+	addl $1, %eax
+	ret
+)"));
+  EXPECT_EQ(runPass(L, "CONSTFOLD"), 1u);
+  Text = emitAssembly(L);
+  EXPECT_NE(Text.find("movl\t$-2147483648, %eax"), std::string::npos) << Text;
+}
+
 TEST(CONSTFOLD, BlockedWhenFlagsLive) {
   MaoUnit Unit = parseOk(wrapFunction(R"(	movl $10, %eax
 	addl $-10, %eax
