@@ -14,6 +14,7 @@
 
 #include "pass/MaoPass.h"
 #include "passes/PassUtil.h"
+#include "x86/Alu.h"
 
 using namespace mao;
 
@@ -95,8 +96,14 @@ public:
         // The ALU flags must be dead: the folded move sets none.
         if (IL.FlagsLiveAfter[I + 1] & FlagsAllStatus)
           continue;
-        int64_t Folded = apply(OpInsn.Mn, MovInsn.Ops[0].Imm,
-                               OpInsn.Ops[0].Imm, MovInsn.W);
+        // The operation at the move's width, read back as the signed
+        // immediate a movl or movq of that result carries.
+        const unsigned Bits = alu::bitsOf(MovInsn.W);
+        const int64_t Folded = alu::signExtend(
+            alu::binary(OpInsn.Mn, static_cast<uint64_t>(MovInsn.Ops[0].Imm),
+                        static_cast<uint64_t>(OpInsn.Ops[0].Imm), false, Bits)
+                ->Value,
+            Bits);
         trace(1, "folding '%s ; %s' -> mov $%lld",
               MovInsn.toString().c_str(), OpInsn.toString().c_str(),
               static_cast<long long>(Folded));
@@ -134,33 +141,6 @@ private:
     }
     return Insn.Ops.size() == 2 && Insn.Ops[0].isConstImm() &&
            Insn.Ops[1].isReg() && Insn.Ops[1].R == R;
-  }
-
-  static int64_t apply(Mnemonic Mn, int64_t A, int64_t B, Width W) {
-    int64_t Result;
-    switch (Mn) {
-    case Mnemonic::ADD:
-      Result = A + B;
-      break;
-    case Mnemonic::SUB:
-      Result = A - B;
-      break;
-    case Mnemonic::AND:
-      Result = A & B;
-      break;
-    case Mnemonic::OR:
-      Result = A | B;
-      break;
-    case Mnemonic::XOR:
-      Result = A ^ B;
-      break;
-    default:
-      assert(false && "unexpected foldable op");
-      return 0;
-    }
-    if (W == Width::L)
-      Result = static_cast<int64_t>(static_cast<int32_t>(Result));
-    return Result;
   }
 };
 
