@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 using namespace mao;
 
@@ -106,24 +107,48 @@ EntryIter beforeLeadingLabels(MaoUnit &Unit, EntryIter Pos) {
   return Pos;
 }
 
-//===----------------------------------------------------------------------===//
-// LOOP16: short loop alignment.
-//===----------------------------------------------------------------------===//
+/// One pad a padding pass asks for: \p Bytes of NOPs before \p Pos.
+struct Pad {
+  EntryIter Pos;
+  unsigned Bytes;
+};
 
-class ShortLoopAlignPass : public MaoFunctionPass {
-public:
-  ShortLoopAlignPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
-      : MaoFunctionPass("LOOP16", Options, Unit, Fn) {}
+/// LOOP16, LSDOPT and BRALIGN: each round relaxes the unit, rebuilds the
+/// function's CFG and loops, and inserts the one pad the pass's criterion
+/// asks for; every pad moves the addresses after it, so the next round
+/// looks again. Stops at the first round that asks for none, or after 8.
+class PaddingPass : public MaoFunctionPass {
+protected:
+  using MaoFunctionPass::MaoFunctionPass;
 
-  bool go() override {
-    const long MaxSize = options().getInt("maxsize", 16);
-    // Iterate: aligning one loop moves later ones.
+  template <typename FindPadFn> void padUntilStable(FindPadFn FindPad) {
     for (unsigned Round = 0; Round < 8; ++Round) {
       relaxUnit(unit());
       CFG Graph = CFG::build(function());
       resolveIndirectJumps(Graph);
       LoopStructureGraph LSG = LoopStructureGraph::build(Graph);
-      bool Changed = false;
+      const std::optional<Pad> P = FindPad(Graph, LSG);
+      if (!P)
+        return;
+      insertNopPad(unit(), P->Pos, P->Bytes);
+      countTransformation();
+    }
+  }
+};
+
+//===----------------------------------------------------------------------===//
+// LOOP16: short loop alignment.
+//===----------------------------------------------------------------------===//
+
+class ShortLoopAlignPass : public PaddingPass {
+public:
+  ShortLoopAlignPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+      : PaddingPass("LOOP16", Options, Unit, Fn) {}
+
+  bool go() override {
+    const long MaxSize = options().getInt("maxsize", 16);
+    padUntilStable([&](const CFG &Graph,
+                       const LoopStructureGraph &LSG) -> std::optional<Pad> {
       for (size_t L = 1; L < LSG.loops().size(); ++L) {
         if (!LSG.loops()[L].Children.empty())
           continue; // Innermost loops only.
@@ -135,22 +160,17 @@ public:
           continue;
         if (decodeLinesSpanned(Extent.Begin, Extent.End) <= 1)
           continue; // Already decodes as a single line.
-        const unsigned Pad =
+        const unsigned Bytes =
             static_cast<unsigned>((16 - (Extent.Begin % 16)) % 16);
-        if (Pad == 0)
+        if (Bytes == 0)
           continue;
         trace(1, "func %s: aligning %lld-byte loop at %lld (pad %u)",
               function().name().c_str(), static_cast<long long>(Size),
-              static_cast<long long>(Extent.Begin), Pad);
-        insertNopPad(unit(), beforeLeadingLabels(unit(), Extent.FirstEntry),
-                     Pad);
-        countTransformation();
-        Changed = true;
-        break; // Re-relax before touching the next loop.
+              static_cast<long long>(Extent.Begin), Bytes);
+        return Pad{beforeLeadingLabels(unit(), Extent.FirstEntry), Bytes};
       }
-      if (!Changed)
-        return true;
-    }
+      return std::nullopt;
+    });
     return true;
   }
 };
@@ -161,20 +181,16 @@ REGISTER_FUNC_PASS("LOOP16", ShortLoopAlignPass)
 // LSDOPT: fit loops into the Loop Stream Detector.
 //===----------------------------------------------------------------------===//
 
-class LsdFitPass : public MaoFunctionPass {
+class LsdFitPass : public PaddingPass {
 public:
   LsdFitPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
-      : MaoFunctionPass("LSDOPT", Options, Unit, Fn) {}
+      : PaddingPass("LSDOPT", Options, Unit, Fn) {}
 
   bool go() override {
     const long MaxLines = options().getInt("maxlines", 4);
     const long LineBytes = 16;
-    for (unsigned Round = 0; Round < 8; ++Round) {
-      relaxUnit(unit());
-      CFG Graph = CFG::build(function());
-      resolveIndirectJumps(Graph);
-      LoopStructureGraph LSG = LoopStructureGraph::build(Graph);
-      bool Changed = false;
+    padUntilStable([&](const CFG &Graph,
+                       const LoopStructureGraph &LSG) -> std::optional<Pad> {
       for (size_t L = 1; L < LSG.loops().size(); ++L) {
         LoopExtent Extent = loopExtent(Graph, LSG, static_cast<unsigned>(L));
         if (!Extent.Valid)
@@ -191,25 +207,20 @@ public:
           continue;
         // Align the loop start to a decode line: afterwards it spans the
         // minimal number of lines.
-        const unsigned Pad =
+        const unsigned Bytes =
             static_cast<unsigned>((LineBytes - (Extent.Begin % LineBytes)) %
                                   LineBytes);
-        if (Pad == 0)
+        if (Bytes == 0)
           continue;
         trace(1,
               "func %s: loop at %lld spans %u lines (needs <= %ld); "
               "padding %u bytes",
               function().name().c_str(),
-              static_cast<long long>(Extent.Begin), Spanned, MaxLines, Pad);
-        insertNopPad(unit(), beforeLeadingLabels(unit(), Extent.FirstEntry),
-                     Pad);
-        countTransformation();
-        Changed = true;
-        break;
+              static_cast<long long>(Extent.Begin), Spanned, MaxLines, Bytes);
+        return Pad{beforeLeadingLabels(unit(), Extent.FirstEntry), Bytes};
       }
-      if (!Changed)
-        return true;
-    }
+      return std::nullopt;
+    });
     return true;
   }
 };
@@ -220,19 +231,15 @@ REGISTER_FUNC_PASS("LSDOPT", LsdFitPass)
 // BRALIGN: separate aliasing back branches.
 //===----------------------------------------------------------------------===//
 
-class BranchAlignPass : public MaoFunctionPass {
+class BranchAlignPass : public PaddingPass {
 public:
   BranchAlignPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
-      : MaoFunctionPass("BRALIGN", Options, Unit, Fn) {}
+      : PaddingPass("BRALIGN", Options, Unit, Fn) {}
 
   bool go() override {
     const long BucketShift = options().getInt("shift", 5); // PC >> 5
-    for (unsigned Round = 0; Round < 8; ++Round) {
-      relaxUnit(unit());
-      CFG Graph = CFG::build(function());
-      resolveIndirectJumps(Graph);
-      LoopStructureGraph LSG = LoopStructureGraph::build(Graph);
-
+    padUntilStable([&](const CFG &Graph,
+                       const LoopStructureGraph &LSG) -> std::optional<Pad> {
       // Collect loop back branches: conditional jumps whose target is the
       // header of the loop containing them.
       std::vector<EntryIter> BackBranches;
@@ -253,9 +260,10 @@ public:
 
       // Bucket by PC >> shift and split the first collision found.
       std::map<int64_t, EntryIter> Buckets;
-      bool Changed = false;
       std::sort(BackBranches.begin(), BackBranches.end(),
-                [](EntryIter A, EntryIter B) { return A->Address < B->Address; });
+                [](EntryIter A, EntryIter B) {
+                  return A->Address < B->Address;
+                });
       for (EntryIter Branch : BackBranches) {
         const int64_t Bucket = Branch->Address >> BucketShift;
         auto [It, Inserted] = Buckets.emplace(Bucket, Branch);
@@ -264,7 +272,7 @@ public:
         // Collision: push this branch into the next bucket by padding in
         // front of it.
         const int64_t BucketSize = int64_t(1) << BucketShift;
-        const unsigned Pad = static_cast<unsigned>(
+        const unsigned Bytes = static_cast<unsigned>(
             BucketSize - (Branch->Address % BucketSize));
         trace(1,
               "func %s: back branches at %lld and %lld share bucket %lld; "
@@ -272,15 +280,11 @@ public:
               function().name().c_str(),
               static_cast<long long>(It->second->Address),
               static_cast<long long>(Branch->Address),
-              static_cast<long long>(Bucket), Pad);
-        insertNopPad(unit(), Branch, Pad);
-        countTransformation();
-        Changed = true;
-        break;
+              static_cast<long long>(Bucket), Bytes);
+        return Pad{Branch, Bytes};
       }
-      if (!Changed)
-        return true;
-    }
+      return std::nullopt;
+    });
     return true;
   }
 };
@@ -330,7 +334,7 @@ public:
     }
 
     if (LoopPow > 0) {
-      relaxUnit(unit());
+      // Loop discovery reads no address, so no relaxation first.
       CFG Graph = CFG::build(function());
       resolveIndirectJumps(Graph);
       LoopStructureGraph LSG = LoopStructureGraph::build(Graph);
