@@ -771,36 +771,6 @@ Status Session::verifySynthRules(std::string *Detail) {
 
 namespace {
 
-std::string reportEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 void appendKeyU64(std::string &Out, const char *Key, uint64_t V,
                   bool Comma = true) {
   char Buf[96];
@@ -854,7 +824,7 @@ std::string Session::reportJson(const RunReport &R, bool IncludeTimings) {
   std::string Out = "{\n";
   Out += "\"version\":2,\n";
 
-  Out += "\"input\":{\"name\":\"" + reportEscape(R.Input) + "\",";
+  Out += "\"input\":{\"name\":\"" + jsonEscape(R.Input) + "\",";
   appendKeyU64(Out, "lines", R.Parse.Lines);
   appendKeyU64(Out, "instructions", R.Parse.Instructions);
   appendKeyU64(Out, "opaque_instructions", R.Parse.OpaqueInstructions);
@@ -865,8 +835,8 @@ std::string Session::reportJson(const RunReport &R, bool IncludeTimings) {
   for (size_t I = 0; I < R.Passes.size(); ++I) {
     const PassOutcomeInfo &P = R.Passes[I];
     Out += I ? ",\n" : "\n";
-    Out += "{\"pass\":\"" + reportEscape(P.Pass) + "\",\"status\":\"" +
-           reportEscape(P.Status) + "\",";
+    Out += "{\"pass\":\"" + jsonEscape(P.Pass) + "\",\"status\":\"" +
+           jsonEscape(P.Status) + "\",";
     appendKeyU64(Out, "transformations", P.Transformations);
     appendKeyI64(Out, "instruction_delta", P.InstructionDelta);
     appendKeyI64(Out, "byte_delta", P.ByteDelta, /*Comma=*/false);
@@ -915,7 +885,7 @@ std::string Session::reportJson(const RunReport &R, bool IncludeTimings) {
   for (size_t I = 0; I < R.Histograms.size(); ++I) {
     const HistogramInfo &H = R.Histograms[I].second;
     Out += I ? ",\n" : "\n";
-    Out += "\"" + reportEscape(R.Histograms[I].first) + "\":{";
+    Out += "\"" + jsonEscape(R.Histograms[I].first) + "\":{";
     appendKeyU64(Out, "count", H.Count);
     appendKeyU64(Out, "sum", H.Sum);
     appendKeyU64(Out, "min", H.Min);
@@ -929,7 +899,7 @@ std::string Session::reportJson(const RunReport &R, bool IncludeTimings) {
     appendKeyU64(Out, "baseline_cycles", R.Tune.BaselineCycles);
     appendKeyU64(Out, "default_cycles", R.Tune.DefaultCycles);
     appendKeyU64(Out, "tuned_cycles", R.Tune.TunedCycles);
-    Out += "\"tuned_pipeline\":\"" + reportEscape(R.Tune.TunedPipeline) +
+    Out += "\"tuned_pipeline\":\"" + jsonEscape(R.Tune.TunedPipeline) +
            "\",";
     appendKeyU64(Out, "evaluations", R.Tune.Evaluations);
     appendKeyU64(Out, "restarts", R.Tune.Restarts);
@@ -947,7 +917,7 @@ std::string Session::reportJson(const RunReport &R, bool IncludeTimings) {
     for (size_t I = 0; I < R.Passes.size(); ++I) {
       const PassOutcomeInfo &P = R.Passes[I];
       Out += I ? ",\n" : "\n";
-      Out += "{\"pass\":\"" + reportEscape(P.Pass) + "\",";
+      Out += "{\"pass\":\"" + jsonEscape(P.Pass) + "\",";
       appendKeyMs(Out, "wall_ms", P.WallMs);
       appendKeyMs(Out, "verify_ms", P.VerifyMs);
       appendKeyMs(Out, "validate_ms", P.ValidateMs, /*Comma=*/false);

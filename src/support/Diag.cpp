@@ -138,12 +138,7 @@ std::string Diagnostic::toString() const {
   return Out;
 }
 
-DiagSink::~DiagSink() = default;
-
-namespace {
-
-/// Escapes a string for embedding in a JSON string literal.
-std::string jsonEscape(const std::string &S) {
+std::string mao::jsonEscape(std::string_view S) {
   std::string Out;
   Out.reserve(S.size() + 8);
   for (char C : S) {
@@ -175,6 +170,10 @@ std::string jsonEscape(const std::string &S) {
   }
   return Out;
 }
+
+DiagSink::~DiagSink() = default;
+
+namespace {
 
 const char *sarifLevel(DiagSeverity Severity) {
   switch (Severity) {

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mao {
@@ -72,6 +73,12 @@ enum class DiagCode : uint16_t {
   LintArgUndefinedAtCall,
   LintDeadArgWrite,
 };
+
+/// Escapes \p S for a JSON string literal: quote, backslash, newline, tab
+/// and carriage return get their short escapes, every other control
+/// character a \\u00XX one. The one escaper behind SARIF, diagnostics,
+/// run and tune reports, and timelines.
+std::string jsonEscape(std::string_view S);
 
 /// Short stable name for a code ("parse-unterminated-string").
 const char *diagCodeName(DiagCode Code);

@@ -1,5 +1,6 @@
 //===- tests/SupportTest.cpp - Support-library unit tests --------------------==//
 
+#include "support/Diag.h"
 #include "support/Options.h"
 #include "support/Random.h"
 #include "support/Status.h"
@@ -144,6 +145,29 @@ TEST(Status, ErrorOrTakeMoves) {
   ErrorOr<std::string> Value(std::string("payload"));
   std::string Taken = Value.take();
   EXPECT_EQ(Taken, "payload");
+}
+
+// --- JSON string escaping (SARIF, reports, timelines) ------------------------
+
+TEST(JsonEscape, EveryControlCharacterQuoteAndBackslash) {
+  for (unsigned C = 0; C < 0x20; ++C) {
+    std::string Want;
+    if (C == '\n')
+      Want = "\\n";
+    else if (C == '\t')
+      Want = "\\t";
+    else if (C == '\r')
+      Want = "\\r";
+    else
+      Want = std::string("\\u00") + "0123456789abcdef"[C >> 4] +
+             "0123456789abcdef"[C & 0xf];
+    EXPECT_EQ(jsonEscape(std::string(1, static_cast<char>(C))), Want) << C;
+  }
+  EXPECT_EQ(jsonEscape("\""), "\\\"");
+  EXPECT_EQ(jsonEscape("\\"), "\\\\");
+  // Everything else, UTF-8 bytes included, passes through.
+  EXPECT_EQ(jsonEscape("a b/\x7f\xc3\xa9"), "a b/\x7f\xc3\xa9");
+  EXPECT_EQ(jsonEscape("f(\"x\")\n"), "f(\\\"x\\\")\\n");
 }
 
 } // namespace
